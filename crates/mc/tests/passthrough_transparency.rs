@@ -7,6 +7,9 @@
 use std::any::TypeId;
 use std::mem::size_of;
 
+// The passthrough build is not the model-check build (a compile-time check).
+const _: () = assert!(!ccc_mc::MODEL_CHECK_BUILD);
+
 #[test]
 fn shims_are_literal_std_type_aliases() {
     assert_eq!(
@@ -33,7 +36,6 @@ fn shims_are_literal_std_type_aliases() {
         TypeId::of::<ccc_mc::AtomicBool>(),
         TypeId::of::<std::sync::atomic::AtomicBool>()
     );
-    assert!(!ccc_mc::MODEL_CHECK_BUILD);
 }
 
 #[test]
