@@ -425,11 +425,10 @@ fn run_chunk<'c, P: AnalysisPass<'c>>(
         let gen_start = Instant::now();
         let obs = store.get(rank);
         let visit_start = Instant::now();
-        // Deferred verification: warm the shared cache through one
-        // `verify_batch` flush over this observation's issuance pairs
-        // before the passes sweep it (a no-op under CCC_VERIFY_BATCH=off).
-        // Timed as analysis — it replaces verifications the passes would
-        // otherwise do one at a time.
+        // Verify this observation's not-yet-cached issuance pairs into
+        // the shared cache before the passes sweep it, so their lookups
+        // are hits. Timed as analysis — it does the verifications the
+        // passes would otherwise do on their first lookups.
         ctx.checker.prefetch_served(&obs.served);
         let memo = ObservationMemo::default();
         worker.visit(obs, &memo);

@@ -8,24 +8,14 @@
 //! [`modpow`] dispatches odd moduli to CIOS Montgomery multiplication with
 //! 4-bit fixed-window exponentiation, [`FixedBaseTable`] provides Brauer
 //! fixed-base windowing for bases that are exponentiated millions of times
-//! per corpus pass (see `montgomery`), [`multiexp`] provides Straus
-//! interleaved joint exponentiation (`a^x · b^y` on one shared squaring
-//! chain) for verification-shaped products, and [`pippenger`] provides
-//! bucket-method multi-scalar exponentiation (`Π bᵢ^{eᵢ}` over a whole
-//! batch) for batched signature verification.
+//! per corpus pass (see `montgomery`).
 
 mod modular;
 mod montgomery;
-pub mod multiexp;
-pub mod pippenger;
 mod prime;
 mod uint;
 
 pub use modular::{modinv, modpow, modpow_naive};
 pub use montgomery::{FixedBaseTable, MontElem, MontgomeryCtx};
-pub use multiexp::{
-    digit_powers, joint_modpow, joint_pow_mont, joint_pow_with_powers, window_powers,
-};
-pub use pippenger::{multi_modpow, multi_pow_mont, optimal_window};
 pub use prime::is_probable_prime;
 pub use uint::Uint;

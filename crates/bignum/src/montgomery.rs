@@ -31,9 +31,21 @@
 use crate::uint::Uint;
 
 /// Exponentiation window width in bits (tables hold `2^W - 1` entries).
-/// Shared with the Straus joint-exponentiation module (`multiexp`), whose
-/// digit tables must agree with the fixed-base rows to be interchangeable.
-pub(crate) const WINDOW: usize = 4;
+const WINDOW: usize = 4;
+
+/// The digit table for one base: `base^d` for `d ∈ [1, 2^WINDOW)`, in
+/// Montgomery form (index `d - 1` holds `base^d`). The one builder behind
+/// both the windowed [`MontgomeryCtx::pow_mont`] table and each block row
+/// of a [`FixedBaseTable`].
+fn digit_powers(ctx: &MontgomeryCtx, base: &MontElem) -> Vec<MontElem> {
+    let mut powers = Vec::with_capacity((1 << WINDOW) - 1);
+    powers.push(base.clone());
+    for d in 1..(1 << WINDOW) - 1 {
+        let next = ctx.mul(&powers[d - 1], base);
+        powers.push(next);
+    }
+    powers
+}
 
 /// A residue in Montgomery form with respect to some [`MontgomeryCtx`].
 ///
@@ -219,7 +231,7 @@ impl MontgomeryCtx {
             return self.one();
         }
         // table[d-1] = base^d for d in 1..16.
-        let table = crate::multiexp::digit_powers(self, base, WINDOW);
+        let table = digit_powers(self, base);
         let windows = bits.div_ceil(WINDOW);
         let mut result: Option<MontElem> = None;
         for w in (0..windows).rev() {
@@ -282,7 +294,6 @@ fn limbs_sub_in_place(a: &mut [u64], b: &[u64]) {
 pub struct FixedBaseTable {
     table: Vec<Vec<MontElem>>,
     max_bits: usize,
-    window: usize,
 }
 
 impl FixedBaseTable {
@@ -296,62 +307,30 @@ impl FixedBaseTable {
     /// Montgomery residue of `ctx`.
     ///
     /// This is the general entry point: any group element — not just a
-    /// generator — can be promoted to fixed-base treatment once it is
-    /// known to be exponentiated repeatedly (e.g. a CA public key `y`
-    /// verified against for many certificates). `new` is the normal-form
-    /// convenience wrapper.
+    /// generator — can get fixed-base treatment when it is exponentiated
+    /// repeatedly (e.g. a CA public key `y` verified against for many
+    /// certificates). `new` is the normal-form convenience wrapper.
     pub fn from_mont(ctx: &MontgomeryCtx, base: &MontElem, max_exp_bits: usize) -> FixedBaseTable {
-        FixedBaseTable::from_mont_with_window(ctx, base, max_exp_bits, WINDOW)
-    }
-
-    /// [`from_mont`](Self::from_mont) at an explicit window width.
-    ///
-    /// Wider windows trade table size (and build time) for fewer
-    /// multiplications per exponentiation: `⌈bits/w⌉` lookups instead of
-    /// `⌈bits/4⌉`. Batch verification uses an 8-bit generator table —
-    /// every batched check exponentiates `g`, so the bigger build
-    /// amortizes where a per-key table would not.
-    pub fn from_mont_with_window(
-        ctx: &MontgomeryCtx,
-        base: &MontElem,
-        max_exp_bits: usize,
-        window: usize,
-    ) -> FixedBaseTable {
-        debug_assert!((1..=16).contains(&window));
-        let windows = max_exp_bits.div_ceil(window).max(1);
+        let windows = max_exp_bits.div_ceil(WINDOW).max(1);
         let mut block_base = base.clone();
         let mut table = Vec::with_capacity(windows);
         for w in 0..windows {
-            let row = crate::multiexp::digit_powers(ctx, &block_base, window);
+            let row = digit_powers(ctx, &block_base);
             if w + 1 < windows {
-                // base for the next block: this block's base^(2^window).
-                block_base = ctx.square(&row[(1 << (window - 1)) - 1]);
+                // base for the next block: this block's base^(2^WINDOW).
+                block_base = ctx.square(&row[(1 << (WINDOW - 1)) - 1]);
             }
             table.push(row);
         }
-        FixedBaseTable { table, max_bits: windows * window, window }
+        FixedBaseTable {
+            table,
+            max_bits: windows * WINDOW,
+        }
     }
 
     /// Highest exponent bit width the table covers.
     pub fn max_exp_bits(&self) -> usize {
         self.max_bits
-    }
-
-    /// The window width this table was built at (bits per digit).
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// The first window row: `base^d` for `d ∈ [1, 2^window)`.
-    ///
-    /// For the default 4-bit window this is exactly the digit table
-    /// [`multiexp::window_powers`](crate::multiexp::window_powers) would
-    /// build for the same base (both call the shared
-    /// [`digit_powers`](crate::multiexp::digit_powers) helper), so Straus
-    /// joint exponentiation can borrow it instead of recomputing (the
-    /// generator side of a Schnorr verification does this).
-    pub fn first_row(&self) -> &[MontElem] {
-        &self.table[0]
     }
 
     /// `base^exp` in Montgomery form.
@@ -366,8 +345,8 @@ impl FixedBaseTable {
         let mut result: Option<MontElem> = None;
         for (w, row) in self.table.iter().enumerate() {
             let mut digit = 0usize;
-            for bit in (0..self.window).rev() {
-                digit = (digit << 1) | usize::from(exp.bit(w * self.window + bit));
+            for bit in (0..WINDOW).rev() {
+                digit = (digit << 1) | usize::from(exp.bit(w * WINDOW + bit));
             }
             if digit != 0 {
                 result = Some(match result {
@@ -478,36 +457,21 @@ mod tests {
     }
 
     #[test]
-    fn wide_window_table_matches_default_window() {
-        // The 8-bit batch-verification generator table must agree with
-        // the default 4-bit table (and the plain ctx pow) bit-for-bit.
+    fn digit_powers_are_successive_powers() {
+        // The shared row builder: entry d-1 is base^d, for every digit.
         let n = u("edb9229e9df73cb4f4a416fb005f7dae9ccae82ad2ba6b58e7e1c47ebc596f0b");
         let ctx = MontgomeryCtx::new(&n).unwrap();
-        let g = ctx.to_montgomery(&Uint::from_u64(4));
-        let narrow = FixedBaseTable::from_mont(&ctx, &g, 256);
-        let wide = FixedBaseTable::from_mont_with_window(&ctx, &g, 256, 8);
-        assert_eq!(narrow.window(), WINDOW);
-        assert_eq!(wide.window(), 8);
-        for e in [
-            Uint::zero(),
-            Uint::one(),
-            Uint::from_u64(0xdead_beef),
-            u("76dc914f4efb9e5a7a520b7d802fbed74e657415695d35ac73f0e23f5e2cb784"),
-        ] {
-            assert_eq!(wide.pow_mont(&ctx, &e), narrow.pow_mont(&ctx, &e), "e={e:?}");
-            assert_eq!(wide.pow_mont(&ctx, &e), ctx.pow_mont(&g, &e), "e={e:?}");
-        }
-    }
-
-    #[test]
-    fn first_row_is_the_shared_digit_table() {
-        // Pins the dedup: the first Brauer row and the Straus digit table
-        // come from the same helper and stay interchangeable.
-        let n = u("76dc914f4efb9e5a7a520b7d802fbed74e657415695d35ac73f0e23f5e2cb785");
-        let ctx = MontgomeryCtx::new(&n).unwrap();
         let base = ctx.to_montgomery(&u("1eadbeef1eadbeef1eadbeef1eadbeef"));
+        let powers = digit_powers(&ctx, &base);
+        assert_eq!(powers.len(), (1 << WINDOW) - 1);
+        let mut acc = base.clone();
+        for p in &powers {
+            assert_eq!(p, &acc);
+            acc = ctx.mul(&acc, &base);
+        }
+        // The first Brauer row is exactly this digit table.
         let table = FixedBaseTable::from_mont(&ctx, &base, 256);
-        assert_eq!(table.first_row(), crate::multiexp::window_powers(&ctx, &base));
+        assert_eq!(table.table[0], powers);
     }
 
     #[test]

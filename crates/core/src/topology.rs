@@ -6,10 +6,7 @@
 //! issuer to subject. All paths are enumerated starting from the leaf
 //! (`C0`) and walking issuer-ward.
 
-use ccc_crypto::{
-    verify_batch, verify_batch_policy, verify_route_stats, BatchItem, BatchPolicy, Signature,
-    VerifyRouteStats,
-};
+use ccc_crypto::{verify_stats, VerifyStats};
 // Sync primitives come from ccc-mc: plain std re-exports in normal
 // builds, scheduler-instrumented shims under the `model-check` feature
 // (enforced by ci/check_raw_sync.sh).
@@ -68,24 +65,23 @@ pub struct CacheStats {
     /// thread instead of recomputing (the duplicate work the old
     /// double-lock design performed).
     pub coalesced_waits: u64,
-    /// Signature checks routed through a per-key fixed-base table (the
-    /// amortized hot path). Counted process-wide since this checker was
-    /// created; includes `verify` calls made outside the cache (e.g.
-    /// self-signed short-circuits), so it is not bounded by
-    /// `verifications`.
+    /// Signature checks run, each through its issuer key's fixed-base
+    /// table. Counted process-wide since this checker was created;
+    /// includes `verify` calls made outside the cache (e.g. self-signed
+    /// short-circuits), so it is not bounded by `verifications`.
     pub fixed_base_hits: u64,
-    /// Signature checks routed through Straus joint multi-exponentiation
-    /// (the cold path for keys below the promotion threshold).
+    /// Always 0: verification has one route, so nothing runs cold. Kept
+    /// (like `batched_verifies` and `batch_flushes`) because external
+    /// benchmark code still reads the field.
     pub cold_multiexps: u64,
-    /// Per-key fixed-base tables built (once per promoted key per
-    /// process).
+    /// Per-key fixed-base tables built (once per key per process, on the
+    /// key's first verification).
     pub tables_built: u64,
-    /// Signature checks that ran inside a `verify_batch` flush instead of
-    /// one-at-a-time (process-wide since this checker was created, like
-    /// the route counters).
+    /// Always 0: verification is never batched. Kept for field
+    /// compatibility, like `cold_multiexps`.
     pub batched_verifies: u64,
-    /// `verify_batch` flushes issued (each covers `batched_verifies /
-    /// batch_flushes` checks on average).
+    /// Always 0: verification is never batched. Kept for field
+    /// compatibility, like `cold_multiexps`.
     pub batch_flushes: u64,
     /// Memoized pairs currently resident.
     pub entries: usize,
@@ -116,11 +112,9 @@ impl CacheStats {
             verifications: self.verifications.saturating_sub(earlier.verifications),
             coalesced_waits: self.coalesced_waits.saturating_sub(earlier.coalesced_waits),
             fixed_base_hits: self.fixed_base_hits.saturating_sub(earlier.fixed_base_hits),
-            cold_multiexps: self.cold_multiexps.saturating_sub(earlier.cold_multiexps),
             tables_built: self.tables_built.saturating_sub(earlier.tables_built),
-            batched_verifies: self.batched_verifies.saturating_sub(earlier.batched_verifies),
-            batch_flushes: self.batch_flushes.saturating_sub(earlier.batch_flushes),
             entries: self.entries,
+            ..CacheStats::default()
         }
     }
 }
@@ -157,11 +151,11 @@ pub struct IssuanceChecker {
     hits: AtomicU64,
     verifications: AtomicU64,
     coalesced_waits: AtomicU64,
-    /// Process-wide verify-route counters at construction time, so the
-    /// route fields this checker reports cover only activity during its
+    /// Process-wide verify counters at construction time, so the verify
+    /// fields this checker reports cover only activity during its
     /// lifetime (the underlying counters are global to the process, like
     /// `keypair_derivations`).
-    route_baseline: VerifyRouteStats,
+    verify_baseline: VerifyStats,
 }
 
 impl Default for IssuanceChecker {
@@ -188,7 +182,7 @@ impl IssuanceChecker {
             hits: AtomicU64::new(0),
             verifications: AtomicU64::new(0),
             coalesced_waits: AtomicU64::new(0),
-            route_baseline: verify_route_stats(),
+            verify_baseline: verify_stats(),
         }
     }
 
@@ -280,14 +274,12 @@ impl IssuanceChecker {
 
     /// Warm the cache for one served list before the analysis passes
     /// sweep it: enumerate the identity-matched certificate pairs the
-    /// topology build will query and verify every not-yet-cached pair
-    /// through a single [`verify_batch`] flush (one Pippenger aggregate
-    /// instead of per-pair exponentiations). A no-op under
-    /// `CCC_VERIFY_BATCH=off`.
+    /// topology build will query and verify every not-yet-cached pair,
+    /// so the passes' lookups on this list are all hits.
     ///
     /// Accounting: prefetch behaves as an **eager lookup** per pair it
     /// claims — the slot install counts one lookup (and therefore one
-    /// derived miss), and publishing the verdict runs through the same
+    /// derived miss), and the verification runs through the same
     /// computed-flag `get_or_init` as [`signature_verifies`]
     /// (`IssuanceChecker::signature_verifies`), counting one verification
     /// if prefetch's init wins or one coalesced wait if a racing analysis
@@ -296,7 +288,7 @@ impl IssuanceChecker {
     /// [`CacheStats`] invariants hold exactly under every interleaving,
     /// and `verifications` still equals unique pairs.
     pub fn prefetch_served(&self, served: &[Certificate]) {
-        if verify_batch_policy() == BatchPolicy::Off || served.len() < 2 {
+        if served.len() < 2 {
             return;
         }
         // Unique certificates in first-appearance order, exactly as the
@@ -323,8 +315,8 @@ impl IssuanceChecker {
         }
         // Claim a fresh slot for every identity-matched ordered pair
         // nobody has touched yet (one shard-lock acquisition per pair,
-        // like the miss path of `signature_verifies`).
-        let mut claimed: Vec<(usize, usize, Arc<OnceLock<bool>>)> = Vec::new();
+        // like the miss path of `signature_verifies`), then verify it
+        // outside the lock.
         let mut candidates: Vec<usize> = Vec::new();
         for (j, subject) in unique.iter().enumerate() {
             candidates.clear();
@@ -350,71 +342,38 @@ impl IssuanceChecker {
                 );
                 let key = (issuer.fingerprint(), subject.fingerprint());
                 let shard = self.shard_for(&key);
-                {
+                let slot = {
                     let mut map = shard.map.lock().expect("shard lock poisoned");
                     if map.contains_key(&key) {
                         // Completed or in flight: left entirely to its
                         // owner, no counter movement.
                         continue;
                     }
-                    map.insert(key, {
-                        let slot = Arc::new(OnceLock::new());
-                        claimed.push((i, j, Arc::clone(&slot)));
-                        slot
-                    });
-                }
+                    let slot = Arc::new(OnceLock::new());
+                    map.insert(key, Arc::clone(&slot));
+                    slot
+                };
                 // ordering: Relaxed — pure event counter, exactly as in
                 // `signature_verifies` (the slot itself is published by
                 // the shard mutex).
                 self.lookups.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if claimed.is_empty() {
-            return;
-        }
-        // Parse the claimed pairs' signatures; unparseable ones are the
-        // scalar path's `verify_signature_with` early rejection (verdict
-        // false, no arithmetic, no promotion-ordinal movement).
-        let parsed: Vec<Option<Signature>> = claimed
-            .iter()
-            .map(|&(i, j, _)| {
-                Signature::from_bytes(
-                    unique[j].signature_bytes(),
-                    unique[i].public_key().group().scalar_len,
-                )
-            })
-            .collect();
-        let mut batch_of: Vec<usize> = Vec::new();
-        let mut items: Vec<BatchItem<'_>> = Vec::new();
-        for (c, sig) in parsed.iter().enumerate() {
-            if let Some(sig) = sig {
-                let (i, j, _) = claimed[c];
-                items.push((unique[i].public_key(), unique[j].tbs_der(), sig));
-                batch_of.push(c);
-            }
-        }
-        let outcome = verify_batch(&items);
-        let mut verdicts = vec![false; claimed.len()];
-        for (b, &c) in batch_of.iter().enumerate() {
-            verdicts[c] = outcome.verdicts[b];
-        }
-        // Publish through the standard computed-flag pattern: a racing
-        // analysis thread may have initialized our slot first (it then
-        // counted the verification; we count the coalesced wait — the
-        // verdict is identical either way, batch == scalar).
-        for ((_, _, slot), verdict) in claimed.iter().zip(&verdicts) {
-            let mut computed = false;
-            slot.get_or_init(|| {
-                computed = true;
-                // ordering: Relaxed — counts initializer executions, same
-                // as the `signature_verifies` miss path.
-                self.verifications.fetch_add(1, Ordering::Relaxed);
-                *verdict
-            });
-            if !computed {
-                // ordering: Relaxed — event counter for losers of the
-                // init race; carries no synchronization.
-                self.coalesced_waits.fetch_add(1, Ordering::Relaxed);
+                // The standard computed-flag pattern: a racing analysis
+                // thread that adopted our slot may have initialized it
+                // first (it then counted the verification; we count the
+                // coalesced wait).
+                let mut computed = false;
+                slot.get_or_init(|| {
+                    computed = true;
+                    // ordering: Relaxed — counts initializer executions,
+                    // same as the `signature_verifies` miss path.
+                    self.verifications.fetch_add(1, Ordering::Relaxed);
+                    subject.verify_signature_with(issuer.public_key())
+                });
+                if !computed {
+                    // ordering: Relaxed — event counter for losers of the
+                    // init race; carries no synchronization.
+                    self.coalesced_waits.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
     }
@@ -447,19 +406,16 @@ impl IssuanceChecker {
         // nothing for a stronger load to synchronize with here.
         let lookups = self.lookups.load(Ordering::Relaxed);
         let hits = self.hits.load(Ordering::Relaxed);
-        let routes = verify_route_stats().since(&self.route_baseline);
+        let verify = verify_stats().since(&self.verify_baseline);
         CacheStats {
             lookups,
             hits,
             misses: lookups.saturating_sub(hits),
             verifications: self.verifications.load(Ordering::Relaxed),
             coalesced_waits: self.coalesced_waits.load(Ordering::Relaxed),
-            fixed_base_hits: routes.fixed_base_hits,
-            cold_multiexps: routes.cold_multiexps,
-            tables_built: routes.tables_built,
-            batched_verifies: routes.batched_verifies,
-            batch_flushes: routes.batch_flushes,
-            entries: 0,
+            fixed_base_hits: verify.fixed_base_hits,
+            tables_built: verify.tables_built,
+            ..CacheStats::default()
         }
     }
 }
@@ -854,9 +810,8 @@ mod tests {
         assert_eq!(wrong_order.misses, 0);
         assert_eq!(wrong_order.verifications, 0);
         assert_eq!(wrong_order.coalesced_waits, 0);
+        assert_eq!(wrong_order.fixed_base_hits, 0);
         assert_eq!(wrong_order.tables_built, 0);
-        assert_eq!(wrong_order.batched_verifies, 0);
-        assert_eq!(wrong_order.batch_flushes, 0);
         // `entries` is the receiver's absolute value, i.e. `before`'s.
         assert_eq!(wrong_order.entries, before.entries);
     }
@@ -871,8 +826,7 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_served_preserves_invariants_graph_and_policy_gate() {
-        use ccc_crypto::{set_verify_batch_policy, BatchPolicy};
+    fn prefetch_served_preserves_invariants_and_graph() {
         let f = fixture();
         let served = vec![
             f.leaf.clone(),
@@ -883,16 +837,6 @@ mod tests {
             f.unrelated.clone(),
         ];
 
-        // Off: prefetch is a strict no-op (policy mutations stay inside
-        // this one sequential test; every other assertion in this module
-        // holds under any policy).
-        set_verify_batch_policy(BatchPolicy::Off);
-        let off_checker = IssuanceChecker::new();
-        off_checker.prefetch_served(&served);
-        assert_eq!(off_checker.cache_size(), 0);
-        assert_eq!(off_checker.snapshot_stats().lookups, 0);
-
-        set_verify_batch_policy(BatchPolicy::Auto);
         let warm = IssuanceChecker::new();
         warm.prefetch_served(&served);
         let after_prefetch = warm.snapshot_stats();
@@ -901,7 +845,6 @@ mod tests {
         assert_eq!(after_prefetch.hits, 0);
         assert_eq!(after_prefetch.verifications, after_prefetch.misses);
         assert_eq!(after_prefetch.verifications as usize, after_prefetch.entries);
-        assert!(after_prefetch.batch_flushes >= 1);
 
         // The graph built on the warmed cache is identical to a cold
         // build, and its lookups are now all hits.
@@ -925,7 +868,7 @@ mod tests {
 
         // Re-prefetching a warmed cache moves nothing (all pairs are
         // completed entries now). Compare per-checker counters only: the
-        // route fields are process-wide and other tests run concurrently.
+        // verify fields are process-wide and other tests run concurrently.
         warm.prefetch_served(&served);
         let again = warm.snapshot_stats();
         assert_eq!(again.lookups, warm_stats.lookups);
@@ -933,6 +876,16 @@ mod tests {
         assert_eq!(again.verifications, warm_stats.verifications);
         assert_eq!(again.coalesced_waits, warm_stats.coalesced_waits);
         assert_eq!(again.entries, warm_stats.entries);
+
+        // Every prefetched verdict equals an uncached check of the pair.
+        for issuer in &served {
+            for subject in &served {
+                assert_eq!(
+                    warm.signature_verifies(issuer, subject),
+                    cold.signature_verifies(issuer, subject)
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,12 +12,12 @@
 #![cfg(feature = "model-check")]
 
 use ccc_core::IssuanceChecker;
-use ccc_crypto::{Group, KeyPair, PROMOTION_THRESHOLD};
+use ccc_crypto::{Group, KeyPair};
 use ccc_mc::Explorer;
 use ccc_x509::{Certificate, CertificateBuilder, DistinguishedName};
 use std::sync::Arc;
 
-/// Serializes the model tests in this binary: the verify-route counters
+/// Serializes the model tests in this binary: the verify counters
 /// folded into `CacheStats` are process-global. (Raw std mutex on
 /// purpose — the harness lock must never become a model object.)
 static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -27,7 +27,7 @@ fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     // so the registry OnceLocks are "done" during runs: in-run metric
     // updates then emit schedule-consistent ops instead of a one-time
     // init that diverges between the first execution and its replays.
-    let _ = ccc_crypto::verify_route_stats();
+    let _ = ccc_crypto::verify_stats();
     ccc_core::builder::touch_build_metrics();
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -38,9 +38,8 @@ struct Fixture {
     leaf_b: Certificate,
 }
 
-/// Builds a root plus two leaves and drives the issuer key well past the
-/// promotion threshold, so every model execution takes the same (hot
-/// fixed-base) verify route with the table already built — the per-
+/// Builds a root plus two leaves and verifies both once, so the issuer
+/// key's fixed-base table is already built when the models run — the per-
 /// execution scheduling points are then exactly the cache's own ops.
 fn warmed_fixture() -> Fixture {
     let g = Group::simulation_256();
@@ -56,9 +55,7 @@ fn warmed_fixture() -> Fixture {
     );
     let leaf_b =
         CertificateBuilder::leaf_profile("mc-b.sim").issued_by(&leaf_b_kp.public, root_dn, &root_kp);
-    for _ in 0..=(PROMOTION_THRESHOLD + 1) {
-        assert!(leaf_a.verify_signature_with(root.public_key()));
-    }
+    assert!(leaf_a.verify_signature_with(root.public_key()));
     assert!(leaf_b.verify_signature_with(root.public_key()));
     Fixture {
         root,
@@ -116,10 +113,10 @@ fn cache_coalesces_to_one_verification() {
     assert!(exploration.lock_order.is_acyclic());
 }
 
-/// Invariant: the cache and route counters are lock-free fetch_adds, so
+/// Invariant: the cache and verify counters are lock-free fetch_adds, so
 /// two concurrent lookups on *distinct* pairs never lose an update —
 /// every interleaving ends with both verifications and both fixed-base
-/// route hits counted.
+/// table hits counted.
 #[test]
 fn route_counters_lose_no_updates() {
     let _guard = test_guard();
@@ -149,7 +146,7 @@ fn route_counters_lose_no_updates() {
         assert_eq!(stats.entries, 2);
         assert_eq!(
             stats.fixed_base_hits, 2,
-            "route counter must not lose updates (both keys are promoted)"
+            "verify counter must not lose updates"
         );
     });
     assert!(exploration.failure.is_none(), "{:?}", exploration.failure);

@@ -13,13 +13,9 @@
 
 use crate::drbg::Drbg;
 use crate::hmac::hmac_sha256;
-use crate::intern::{
-    self, verify_table_policy, InternedKey, KeyRegistry, TablePolicy, PROMOTION_THRESHOLD,
-};
+use crate::intern::{InternedKey, KeyRegistry};
 use crate::sha256::Sha256;
-use ccc_bignum::{
-    joint_pow_with_powers, window_powers, FixedBaseTable, MontElem, MontgomeryCtx, Uint,
-};
+use ccc_bignum::{FixedBaseTable, MontgomeryCtx, Uint};
 // Sync primitives come from the ccc-mc shim layer (std re-exports in
 // normal builds, scheduler-instrumented under `model-check`); the group
 // statics and per-key interning slots are on model-checked paths.
@@ -72,7 +68,7 @@ pub struct Group {
     pub element_len: usize,
     /// Serialized length of scalars in bytes.
     pub scalar_len: usize,
-    /// Lazily-built Montgomery context + fixed-base generator tables
+    /// Lazily-built Montgomery context + fixed-base generator table
     /// (see [`Group::ops`]).
     ops: OnceLock<GroupOps>,
 }
@@ -91,32 +87,6 @@ pub struct GroupOps {
     pub ctx: MontgomeryCtx,
     /// Fixed-base tables for the generator `g`.
     pub g_table: FixedBaseTable,
-    /// Wide (8-bit window) generator table for batch verification, built
-    /// lazily on the first batched check in this group: every batched
-    /// item exponentiates `g`, so halving the per-exponentiation lookup
-    /// count is worth the one-time ~16× larger build that a per-key
-    /// table could not amortize (~260 KiB at 256 bits, ~9.4 MiB at 1536).
-    g_wide: OnceLock<FixedBaseTable>,
-}
-
-/// Window width of the batch-verification tables (the shared generator
-/// table here and the per-key wide tables in `intern`).
-pub(crate) const WIDE_WINDOW: usize = 8;
-
-impl GroupOps {
-    /// The wide generator table, built on first use and covering
-    /// exponents up to `max_exp_bits` bits (callers pass the group's
-    /// `q.bit_len()`; concurrent callers coalesce on the `OnceLock`).
-    pub fn g_wide_table(&self, max_exp_bits: usize) -> &FixedBaseTable {
-        self.g_wide.get_or_init(|| {
-            FixedBaseTable::from_mont_with_window(
-                &self.ctx,
-                &self.g_table.first_row()[0],
-                max_exp_bits,
-                WIDE_WINDOW,
-            )
-        })
-    }
 }
 
 impl Group {
@@ -192,11 +162,7 @@ impl Group {
             let ctx = MontgomeryCtx::new(&self.p)
                 .expect("group prime is odd and > 1");
             let g_table = FixedBaseTable::new(&ctx, &self.g, self.q.bit_len());
-            GroupOps {
-                ctx,
-                g_table,
-                g_wide: OnceLock::new(),
-            }
+            GroupOps { ctx, g_table }
         })
     }
 
@@ -204,12 +170,6 @@ impl Group {
     pub fn pow_g(&self, k: &Uint) -> Uint {
         let ops = self.ops();
         ops.g_table.pow(&ops.ctx, k)
-    }
-
-    /// `g^k mod p` in Montgomery form (for callers that keep computing).
-    fn pow_g_mont(&self, k: &Uint) -> MontElem {
-        let ops = self.ops();
-        ops.g_table.pow_mont(&ops.ctx, k)
     }
 }
 
@@ -227,24 +187,6 @@ impl fmt::Debug for PrivateKey {
     }
 }
 
-/// Which implementation strategy one verification uses.
-///
-/// Both routes compute the identical `g^s · y^(q-e) mod p` residue — the
-/// choice is pure performance and never changes a verdict. [`PublicKey::
-/// verify`](PublicKey::verify) picks automatically (promotion threshold +
-/// [`TablePolicy`]); [`PublicKey::verify_via`] forces a route for benches
-/// and differential tests.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum VerifyRoute {
-    /// Hot path: the key's per-process Brauer table — two zero-squaring
-    /// fixed-base lookups (`g^s`, `y^(q-e)`) and one multiplication.
-    FixedBase,
-    /// Cold path: one Straus joint exponentiation sharing a single
-    /// squaring chain, reusing the generator's table row so only the
-    /// `y`-side digit table is built per call.
-    MultiExp,
-}
-
 /// A Schnorr public key, `y = g^x mod p`.
 #[derive(Clone)]
 pub struct PublicKey {
@@ -252,11 +194,11 @@ pub struct PublicKey {
     /// `y` serialized big-endian, padded to the group element length.
     y_bytes: Vec<u8>,
     /// Interned per-process entry for `(group, y)`, resolved on first
-    /// verification: the shared Montgomery residue, the promotion counter,
-    /// and (once hot) the fixed-base table — shared by *every* `PublicKey`
-    /// carrying these bytes, not just clones of this one (CA keys are
-    /// re-parsed from thousands of certificates per corpus pass). Excluded
-    /// from `Eq`/`Hash`: it is a pure cache of `y_bytes`.
+    /// verification: the shared Montgomery residue and fixed-base table,
+    /// shared by *every* `PublicKey` carrying these bytes, not just
+    /// clones of this one (CA keys are re-parsed from thousands of
+    /// certificates per corpus pass). Excluded from `Eq`/`Hash`: it is a
+    /// pure cache of `y_bytes`.
     interned: OnceLock<Arc<InternedKey>>,
 }
 
@@ -450,10 +392,8 @@ impl PublicKey {
     }
 
     /// The process-wide interned entry for this key: shared Montgomery
-    /// residue, promotion counter, fixed-base table, subgroup verdict.
-    /// Crate-visible so the batch verifier shares the same entries (and
-    /// therefore the same promotion ordinals) as the scalar path.
-    pub(crate) fn interned(&self) -> &Arc<InternedKey> {
+    /// residue, fixed-base table, subgroup verdict.
+    fn interned(&self) -> &Arc<InternedKey> {
         self.interned
             .get_or_init(|| KeyRegistry::global().intern(self.group(), &self.y_bytes))
     }
@@ -461,89 +401,23 @@ impl PublicKey {
     /// Whether `y` lies in the order-`q` subgroup (`y^q ≡ 1 mod p`).
     ///
     /// This is the check [`PublicKey::from_bytes`] skips. The verdict is
-    /// computed lazily with one exponentiation (via the promoted table
-    /// when one exists) and cached on the interned entry, so sweeping a
-    /// corpus costs one check per unique CA key, not per certificate.
+    /// computed lazily with one exponentiation (via the key's table when
+    /// a verification has built it) and cached on the interned entry, so
+    /// sweeping a corpus costs one check per unique CA key, not per
+    /// certificate.
     pub fn is_subgroup_member(&self) -> bool {
         self.interned().is_subgroup_member()
     }
 
     /// Verify `signature` over `message`.
     ///
-    /// Routing: each verification is recorded on the key's interned entry,
-    /// and under [`TablePolicy::Auto`] the key is promoted to the
-    /// [`VerifyRoute::FixedBase`] hot path once it has been verified
-    /// against more than [`PROMOTION_THRESHOLD`] times — amortizing the
-    /// per-key table build across the many verifications a CA key sees.
-    /// Colder keys take the [`VerifyRoute::MultiExp`] Straus path, which
-    /// needs no per-key precomputation. `CCC_VERIFY_TABLES=always|never`
-    /// forces one route for every key. Verdicts are identical either way.
+    /// The one verification route: `g^s` from the group's generator table
+    /// times `y^(q−e)` from this key's interned fixed-base table, which the
+    /// key's first verification builds and every later one — through any
+    /// `PublicKey` carrying the same bytes — reuses (see
+    /// [`InternedKey::verify`]).
     pub fn verify(&self, message: &[u8], signature: &Signature) -> bool {
-        let n = self.interned().record_verify();
-        let route = match verify_table_policy() {
-            TablePolicy::Always => VerifyRoute::FixedBase,
-            TablePolicy::Never => VerifyRoute::MultiExp,
-            TablePolicy::Auto if n > PROMOTION_THRESHOLD => VerifyRoute::FixedBase,
-            TablePolicy::Auto => VerifyRoute::MultiExp,
-        };
-        self.verify_via(route, message, signature)
-    }
-
-    /// Verify `signature` over `message` on an explicitly chosen route,
-    /// bypassing promotion accounting (benches and differential tests;
-    /// normal callers use [`PublicKey::verify`]).
-    pub fn verify_via(&self, route: VerifyRoute, message: &[u8], signature: &Signature) -> bool {
-        let group = self.group();
-        if signature.s.len() != group.scalar_len {
-            return false;
-        }
-        let s = Uint::from_bytes_be(&signature.s);
-        if s >= group.q {
-            return false;
-        }
-        let e_scalar = Uint::from_bytes_be(&signature.e)
-            .rem(&group.q)
-            .expect("q is non-zero");
-        // r' = g^s * y^(q - e) mod p   (y has order q, so y^-e = y^(q-e)).
-        // Everything stays in Montgomery form until the single final
-        // conversion, on either route.
-        let neg_e = group.q.checked_sub(&e_scalar).expect("e_scalar < q");
-        let ops = group.ops();
-        let entry = self.interned();
-        let r_mont = match route {
-            VerifyRoute::FixedBase => {
-                // Hot: both halves are zero-squaring table lookups — g via
-                // the group table, y via the key's interned table (built on
-                // first hot use, then shared process-wide).
-                let y_table = entry.table(&ops.ctx, group.q.bit_len());
-                intern::note_fixed_base_hit();
-                let gs = group.pow_g_mont(&s);
-                ops.ctx.mul(&gs, &y_table.pow_mont(&ops.ctx, &neg_e))
-            }
-            VerifyRoute::MultiExp => {
-                // Cold: one Straus joint exponentiation — a single shared
-                // squaring chain instead of two. The generator side reuses
-                // the group table's first row as its digit table, so the
-                // only per-call setup is y's 15-entry window.
-                intern::note_cold_multiexp();
-                joint_pow_with_powers(
-                    &ops.ctx,
-                    ops.g_table.first_row(),
-                    &s,
-                    &window_powers(&ops.ctx, entry.y_mont()),
-                    &neg_e,
-                )
-            }
-        };
-        let r = ops.ctx.from_montgomery(&r_mont);
-        let r_bytes = match r.to_bytes_be_padded(group.element_len) {
-            Some(b) => b,
-            None => return false,
-        };
-        let mut h = Sha256::new();
-        h.update(&r_bytes);
-        h.update(message);
-        h.finalize() == signature.e
+        self.interned().verify(message, signature)
     }
 }
 
@@ -692,39 +566,19 @@ mod tests {
     }
 
     #[test]
-    fn verify_routes_agree_on_verdicts() {
-        for group in [Group::simulation_256(), Group::rfc3526_1536()] {
-            let kp = KeyPair::from_seed(group, b"route-key");
-            let sig = kp.private.sign(b"routed message");
-            assert!(kp.public.verify_via(VerifyRoute::MultiExp, b"routed message", &sig));
-            assert!(kp.public.verify_via(VerifyRoute::FixedBase, b"routed message", &sig));
-            assert!(!kp.public.verify_via(VerifyRoute::MultiExp, b"other", &sig));
-            assert!(!kp.public.verify_via(VerifyRoute::FixedBase, b"other", &sig));
-            let mut forged = sig.clone();
-            forged.e[7] ^= 0x40;
-            assert!(!kp.public.verify_via(VerifyRoute::MultiExp, b"routed message", &forged));
-            assert!(!kp.public.verify_via(VerifyRoute::FixedBase, b"routed message", &forged));
-        }
-    }
-
-    #[test]
-    fn auto_promotion_builds_table_after_threshold() {
+    fn first_verify_builds_the_key_table() {
         // A fresh key (unique seed → unique interned entry in the global
-        // registry) starts cold and flips hot after PROMOTION_THRESHOLD
-        // verifications. Policy may be overridden concurrently by the
-        // policy_roundtrip test, so only the table side effect — which any
-        // policy except Never eventually triggers — is asserted loosely;
-        // the strict split is pinned in the verify_routes integration
-        // tests, which own the policy in their own process.
+        // registry) has no table until its first verification, which
+        // builds it; later verifications reuse it.
         let group = Group::simulation_256();
-        let kp = KeyPair::from_seed(group, b"promotion-key-schnorr-unit");
-        let sig = kp.private.sign(b"promote me");
-        for _ in 0..(PROMOTION_THRESHOLD + 2) {
-            assert!(kp.public.verify(b"promote me", &sig));
-        }
-        // The interned counter saw every auto-routed verification.
+        let kp = KeyPair::from_seed(group, b"first-verify-key-schnorr-unit");
+        let sig = kp.private.sign(b"verify me");
         let entry = KeyRegistry::global().intern(group, kp.public.as_bytes());
-        assert!(entry.verify_count() >= PROMOTION_THRESHOLD + 2);
+        assert!(!entry.has_table());
+        assert!(kp.public.verify(b"verify me", &sig));
+        assert!(entry.has_table());
+        assert!(kp.public.verify(b"verify me", &sig));
+        assert!(!kp.public.verify(b"other", &sig));
     }
 
     #[test]

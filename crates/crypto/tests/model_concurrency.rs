@@ -9,23 +9,23 @@
 
 #![cfg(feature = "model-check")]
 
-use ccc_crypto::{Group, KeyPair, KeyRegistry, PROMOTION_THRESHOLD};
+use ccc_crypto::{Group, KeyPair, KeyRegistry, Signature};
 use ccc_mc::Explorer;
 use std::sync::Arc;
 
-/// Serializes the model tests in this binary: the route counters the
+/// Serializes the model tests in this binary: the verify counters the
 /// table-build property measures are process-global, and exploration
 /// itself is cheap enough that parallelism buys nothing here. (Raw std
 /// mutex on purpose — the harness lock must never become a model object.)
 static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-    // Warm the process-global ccc-obs route-metric registration outside
+    // Warm the process-global ccc-obs verify-metric registration outside
     // the explorer (same reason as `warmed_key_bytes`): with the
     // registry OnceLocks already "done", in-run metric updates are
     // schedule-consistent atomic ops instead of a one-time init that
     // would make the first execution's op sequence diverge from replays.
-    let _ = ccc_crypto::verify_route_stats();
+    let _ = ccc_crypto::verify_stats();
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -35,57 +35,6 @@ fn warmed_key_bytes() -> Vec<u8> {
     // the "done" state during runs (pure reads, pruned by sleep sets).
     let _ = group.ops();
     KeyPair::from_seed(group, b"model-check-key").public.as_bytes().to_vec()
-}
-
-/// Invariant: `record_verify` ordinals are unique and contiguous, so the
-/// Auto-route split (`ordinal > PROMOTION_THRESHOLD` goes hot) is a pure
-/// function of the ordinal — the hot/cold partition cannot depend on the
-/// interleaving. Three concurrent verifiers starting two below the
-/// threshold must always produce exactly two hot routes.
-#[test]
-fn promotion_ordinals_are_unique_and_route_invariantly() {
-    let _guard = test_guard();
-    let key_bytes = Arc::new(warmed_key_bytes());
-    let exploration = Explorer::new().explore(move || {
-        let group = Group::simulation_256();
-        let registry = KeyRegistry::new();
-        let entry = registry.intern(group, &key_bytes);
-        // Advance to one below the threshold so the concurrent section
-        // straddles the promotion boundary.
-        for _ in 0..(PROMOTION_THRESHOLD - 1) {
-            entry.record_verify();
-        }
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                let entry = Arc::clone(&entry);
-                ccc_mc::spawn(move || entry.record_verify())
-            })
-            .collect();
-        let mut ordinals: Vec<u64> = handles
-            .into_iter()
-            .map(|h| h.join().expect("verifier task"))
-            .collect();
-        ordinals.sort_unstable();
-        assert_eq!(
-            ordinals,
-            vec![
-                PROMOTION_THRESHOLD,
-                PROMOTION_THRESHOLD + 1,
-                PROMOTION_THRESHOLD + 2
-            ],
-            "promotion ordinals must be unique and contiguous"
-        );
-        let hot = ordinals.iter().filter(|&&n| n > PROMOTION_THRESHOLD).count();
-        assert_eq!(hot, 2, "route split must be interleaving-independent");
-        assert_eq!(entry.verify_count(), PROMOTION_THRESHOLD + 2);
-    });
-    assert!(exploration.failure.is_none(), "{:?}", exploration.failure);
-    assert!(
-        exploration.complete,
-        "3-thread promotion-ordinal scenario must explore to fixpoint"
-    );
-    assert!(!exploration.truncated);
-    assert!(exploration.lock_order.is_acyclic());
 }
 
 /// Invariant: concurrent interns of the same key coalesce on one shared
@@ -125,36 +74,43 @@ fn interning_coalesces_across_tasks() {
         .any(|c| c.site.contains("intern.rs")));
 }
 
-/// Invariant: the per-key fixed-base table is built exactly once under
-/// OnceLock coalescing — two concurrent `table()` calls in every
-/// interleaving yield one build and the same table.
+/// A signature by the [`warmed_key_bytes`] key, signed outside the
+/// explorer like the key itself.
+fn warmed_signature() -> Signature {
+    KeyPair::from_seed(Group::simulation_256(), b"model-check-key")
+        .private
+        .sign(b"model-check message")
+}
+
+/// Invariant: a key's fixed-base table is built exactly once, on its first
+/// verification — two concurrent first verifications coalesce on the
+/// `OnceLock` in every interleaving: one build, both verdicts true, both
+/// verifications counted.
 #[test]
-fn table_promotion_builds_exactly_once() {
+fn table_builds_exactly_once_on_first_verify() {
     let _guard = test_guard();
     let key_bytes = Arc::new(warmed_key_bytes());
+    let sig = Arc::new(warmed_signature());
     let exploration = Explorer::new().explore(move || {
         let group = Group::simulation_256();
         let registry = KeyRegistry::new();
         let entry = registry.intern(group, &key_bytes);
-        let before = ccc_crypto::verify_route_stats();
+        assert!(!entry.has_table());
+        let before = ccc_crypto::verify_stats();
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 let entry = Arc::clone(&entry);
-                ccc_mc::spawn(move || {
-                    let group = Group::simulation_256();
-                    let ops = group.ops();
-                    entry.table(&ops.ctx, group.q.bit_len()) as *const _ as usize
-                })
+                let sig = Arc::clone(&sig);
+                ccc_mc::spawn(move || entry.verify(b"model-check message", &sig))
             })
             .collect();
-        let tables: Vec<usize> = handles
-            .into_iter()
-            .map(|h| h.join().expect("table task"))
-            .collect();
-        assert_eq!(tables[0], tables[1], "both tasks must share one table");
+        for h in handles {
+            assert!(h.join().expect("verify task"), "a valid signature verifies");
+        }
         assert!(entry.has_table());
-        let delta = ccc_crypto::verify_route_stats().since(&before);
+        let delta = ccc_crypto::verify_stats().since(&before);
         assert_eq!(delta.tables_built, 1, "initializer must run exactly once");
+        assert_eq!(delta.fixed_base_hits, 2, "both verifications are counted");
     });
     assert!(exploration.failure.is_none(), "{:?}", exploration.failure);
     assert!(
