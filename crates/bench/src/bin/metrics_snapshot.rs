@@ -6,11 +6,11 @@
 //! format when the output path ends in `.json`.
 //!
 //! ```text
-//! metrics_snapshot [path]             dump to path (default: stdout)
+//! metrics_snapshot [path] [domains]   dump to path (default or `-`: stdout)
 //! ```
 //!
-//! `CCC_DOMAINS` scales the corpus (default 1000); `CCC_THREADS` picks
-//! the worker count. Stable-classified series are byte-identical across
+//! `domains` scales the corpus (default 1000); `CCC_THREADS` picks the
+//! worker count. Stable-classified series are byte-identical across
 //! worker counts for a fixed corpus — that invariant is pinned by
 //! `crates/bench/tests/metrics_snapshot.rs` and the CI
 //! `metrics-determinism` job; this binary is the interactive/profiling
@@ -21,15 +21,18 @@ use ccc_bench::{
     Pipeline,
 };
 use ccc_core::IssuanceChecker;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let out = std::env::args().nth(1);
-    // Unlike the table binaries, argv[1] is the output *path*; the corpus
-    // size comes from `CCC_DOMAINS` alone (snapshot-sized default).
-    let domains: usize = std::env::var("CCC_DOMAINS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000);
+    let domains: usize = match std::env::args().nth(2).map(|v| v.parse()) {
+        None => 1_000,
+        Some(Ok(n)) => n,
+        Some(Err(_)) => {
+            eprintln!("usage: metrics_snapshot [path] [domains]");
+            return ExitCode::FAILURE;
+        }
+    };
     eprintln!("metrics snapshot: sweeping {domains} synthetic domains…");
     let corpus = scan_corpus(domains);
 
@@ -68,4 +71,5 @@ fn main() {
             eprintln!("wrote {path}");
         }
     }
+    ExitCode::SUCCESS
 }

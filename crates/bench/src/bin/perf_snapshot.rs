@@ -8,7 +8,7 @@
 //!   presets → `BENCH_modexp.json`.
 //! - **pipeline**: times the fused single-generation 3-analysis sweep
 //!   (compliance + differential + lint, one shared checker) against
-//!   three sequential standalone sweeps, each with a fresh checker, on a
+//!   three sequential single-pass sweeps, each with a fresh checker, on a
 //!   1k-domain corpus → `BENCH_pipeline.json`. The run first asserts the
 //!   fused summaries are identical to the sequential ones.
 //! - **verify**: times `PublicKey::verify` (steady state: the key's
@@ -34,6 +34,7 @@ use ccc_bench::{
     CompliancePass, CorpusSummary, DifferentialPass, DifferentialSummary, LintPass, Pipeline,
     PipelineStats,
 };
+use ccc_testgen::Corpus;
 use ccc_bignum::{modpow_naive, FixedBaseTable, MontgomeryCtx, Uint};
 use ccc_core::IssuanceChecker;
 use ccc_crypto::{sha256, Drbg, Group, KeyPair, Signature};
@@ -116,6 +117,20 @@ fn run_case(label: &'static str, group: &'static Group, iters: usize) -> CaseRes
 /// acceptance workload).
 const PIPELINE_DOMAINS: usize = 1_000;
 
+/// The three analyses as three single-pass sweeps, each with a fresh
+/// checker: every sweep pays full observation generation and signature
+/// verification.
+fn sequential_3_passes(corpus: &Corpus) -> (CorpusSummary, DifferentialSummary, LintSummary) {
+    let pipeline = Pipeline::from_env();
+    let c1 = IssuanceChecker::new();
+    let compliance = pipeline.run(corpus, &c1, CompliancePass::new()).0.into_summary();
+    let c2 = IssuanceChecker::new();
+    let differential = pipeline.run(corpus, &c2, DifferentialPass::new()).0.into_summary();
+    let c3 = IssuanceChecker::new();
+    let lint = pipeline.run(corpus, &c3, LintPass::new()).0.into_summary();
+    (compliance, differential, lint)
+}
+
 /// One fused-vs-sequential measurement on a 1k-domain corpus. Returns
 /// `(sequential_total, fused_total, fused_stats)` — best-of-`iters` wall
 /// times — after asserting the fused summaries are bit-identical to the
@@ -124,12 +139,7 @@ fn run_pipeline_case(iters: usize) -> (Duration, Duration, PipelineStats) {
     let corpus = ccc_bench::scan_corpus(PIPELINE_DOMAINS);
 
     // Correctness gate: fused output must equal the sequential outputs.
-    let c1 = IssuanceChecker::new();
-    let seq_compliance = CorpusSummary::compute_with_checker(&corpus, &c1);
-    let c2 = IssuanceChecker::new();
-    let seq_differential = DifferentialSummary::compute_with_checker(&corpus, &c2);
-    let c3 = IssuanceChecker::new();
-    let seq_lint = LintSummary::compute_with_checker(&corpus, &c3);
+    let (seq_compliance, seq_differential, seq_lint) = sequential_3_passes(&corpus);
     let fused_checker = IssuanceChecker::new();
     let ((fc, fd, fl), _) = Pipeline::from_env().run(
         &corpus,
@@ -145,12 +155,7 @@ fn run_pipeline_case(iters: usize) -> (Duration, Duration, PipelineStats) {
     let mut fused_stats = None;
     for _ in 0..iters {
         let start = Instant::now();
-        let c1 = IssuanceChecker::new();
-        std::hint::black_box(CorpusSummary::compute_with_checker(&corpus, &c1));
-        let c2 = IssuanceChecker::new();
-        std::hint::black_box(DifferentialSummary::compute_with_checker(&corpus, &c2));
-        let c3 = IssuanceChecker::new();
-        std::hint::black_box(LintSummary::compute_with_checker(&corpus, &c3));
+        std::hint::black_box(sequential_3_passes(&corpus));
         best_seq = best_seq.min(start.elapsed());
 
         let start = Instant::now();
@@ -175,7 +180,7 @@ fn write_pipeline_snapshot(out_path: &str, iters: usize) {
     let (seq, fused, stats) = run_pipeline_case(iters);
     let speedup = seq.as_secs_f64() / fused.as_secs_f64();
     let json = format!(
-        "{{\n  \"benchmark\": \"pipeline\",\n  \"unit\": \"seconds\",\n  \"domains\": {},\n  \"passes\": {},\n  \"threads\": {},\n  \"iters\": {},\n  \"sequential_3_passes_s\": {:.4},\n  \"fused_3_passes_s\": {:.4},\n  \"speedup\": {:.2},\n  \"fused_generation_s\": {:.4},\n  \"fused_analysis_s\": {:.4},\n  \"fused_cache\": {{ \"lookups\": {}, \"hits\": {}, \"verifications\": {} }}\n}}\n",
+        "{{\n  \"benchmark\": \"pipeline\",\n  \"unit\": \"seconds\",\n  \"domains\": {},\n  \"passes\": {},\n  \"threads\": {},\n  \"iters\": {},\n  \"sequential_3_passes_s\": {:.4},\n  \"fused_3_passes_s\": {:.4},\n  \"speedup\": {:.2},\n  \"fused_generation_worker_s\": {:.4},\n  \"fused_analysis_worker_s\": {:.4},\n  \"fused_cache\": {{ \"lookups\": {}, \"hits\": {}, \"verifications\": {} }}\n}}\n",
         PIPELINE_DOMAINS,
         stats.passes,
         stats.threads,

@@ -29,10 +29,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        domains: std::env::var("CCC_DOMAINS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_DOMAINS),
+        domains: DEFAULT_DOMAINS,
         baseline: None,
         write_baseline: None,
     };

@@ -1,20 +1,19 @@
-//! Experiment harness shared by the table/figure regeneration binaries.
+//! Experiment harness: the fused corpus pipeline and the reproduction
+//! driver built on it.
 //!
-//! Every `table*`/`figure*`/`section52` binary drives a single streaming
-//! pass over a calibrated corpus ([`CorpusSummary::compute`]) and prints
-//! its slice of the accumulated statistics next to the paper's published
-//! values, so "shape" comparisons are one `cargo run` away.
+//! Every corpus-derived result in the paper is one analysis of one scan.
+//! [`pipeline`] sweeps the calibrated corpus **once**, generating each
+//! observation a single time and fanning it to every registered
+//! [`AnalysisPass`] ([`CompliancePass`] → [`CorpusSummary`],
+//! [`DifferentialPass`] → [`DifferentialSummary`], [`LintPass`],
+//! [`FaultPass`]); [`Pipeline::run`] is the only way to sweep a corpus
+//! (DESIGN.md §12). [`repro`] prints every table and figure from one
+//! such sweep (`chain-chaos repro <name>... | all [--domains N]`), next
+//! to the paper's published values.
 //!
-//! All corpus sweeps run on the fused [`pipeline`]: observations are
-//! generated exactly once per sweep and fanned to every registered
-//! [`AnalysisPass`], so running the structural, differential, and lint
-//! analyses together costs one generation pass, not three (see
-//! DESIGN.md §12 and `benches/pipeline.rs`).
-//!
-//! Scale control: binaries default to 100,000 domains; set `CCC_DOMAINS`
-//! (or pass the count as the first CLI argument) to change it. The paper's
-//! absolute counts are for 906,336 chains; percentages are the comparable
-//! quantity.
+//! Scale: the driver defaults to [`DEFAULT_DOMAINS`] domains. The
+//! paper's absolute counts are for 906,336 chains; percentages are the
+//! comparable quantity.
 //!
 //! Thread control: worker count defaults to `available_parallelism`
 //! (capped at 16); set `CCC_THREADS` to pin it — e.g. `CCC_THREADS=1` for
@@ -28,16 +27,13 @@
 //! lookups are hits. Every check runs the one `PublicKey::verify` route
 //! (DESIGN.md §14).
 
-use ccc_core::clients::ClientKind;
-use ccc_core::{
-    Completeness, DifferentialReport, DiscrepancyCause, IssuanceChecker, LeafPlacement,
-};
-use ccc_netsim::httpserver::HttpServerKind;
+use ccc_core::{Completeness, DifferentialReport, DiscrepancyCause, LeafPlacement};
 use ccc_rootstore::RootProgram;
 use ccc_testgen::{Corpus, CorpusSpec};
 use std::collections::BTreeMap;
 
 pub mod pipeline;
+pub mod repro;
 
 pub use pipeline::{
     touch_pipeline_metrics, AnalysisPass, ChaosClientCell, ChaosScenarioSummary, ChaosSummary,
@@ -45,10 +41,10 @@ pub use pipeline::{
     PassContext, Pipeline, PipelineStats,
 };
 
-/// Default corpus size for the regeneration binaries.
+/// Default corpus size for `chain-chaos repro`.
 pub const DEFAULT_DOMAINS: usize = 100_000;
 
-/// The corpus seed used by every regeneration binary (the "scan").
+/// The corpus seed of every reproduction run (the "scan").
 pub const SCAN_SEED: u64 = 833;
 
 /// Resolve the worker-thread count: `CCC_THREADS` env > detected
@@ -66,19 +62,6 @@ pub fn threads_from_env() -> usize {
         .map(|n| n.get())
         .unwrap_or(1)
         .min(16)
-}
-
-/// Resolve the corpus size: CLI arg > `CCC_DOMAINS` env > default.
-pub fn domains_from_env() -> usize {
-    if let Some(arg) = std::env::args().nth(1) {
-        if let Ok(n) = arg.parse() {
-            return n;
-        }
-    }
-    std::env::var("CCC_DOMAINS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_DOMAINS)
 }
 
 /// Build the standard scan corpus.
@@ -114,6 +97,19 @@ pub struct DefectCounts {
     pub incomplete: usize,
     /// Total observations in this bucket (for rate columns).
     pub total: usize,
+}
+
+impl DefectCounts {
+    fn merge(&mut self, other: DefectCounts) {
+        self.any += other.any;
+        self.duplicates += other.duplicates;
+        self.duplicate_leaf += other.duplicate_leaf;
+        self.irrelevant += other.irrelevant;
+        self.multipath += other.multipath;
+        self.reversed += other.reversed;
+        self.incomplete += other.incomplete;
+        self.total += other.total;
+    }
 }
 
 /// Everything a single streaming pass over the corpus accumulates.
@@ -168,39 +164,6 @@ pub struct CorpusSummary {
 }
 
 impl CorpusSummary {
-    /// One pass over `corpus`, parallelized across available cores (the
-    /// corpus is rank-independent by construction; partial summaries are
-    /// merged). All workers share one sharded [`IssuanceChecker`], so each
-    /// (issuer, subject) signature is verified at most once per pass.
-    pub fn compute(corpus: &Corpus) -> CorpusSummary {
-        let checker = IssuanceChecker::new();
-        Self::compute_with_checker(corpus, &checker)
-    }
-
-    /// [`compute`](Self::compute) against a caller-supplied shared checker
-    /// (lets binaries reuse one cache across multiple passes and then read
-    /// [`IssuanceChecker::snapshot_stats`]). Worker count comes from
-    /// [`threads_from_env`] (`CCC_THREADS` override, else detected cores).
-    pub fn compute_with_checker(corpus: &Corpus, checker: &IssuanceChecker) -> CorpusSummary {
-        Self::compute_with_threads(corpus, checker, threads_from_env())
-    }
-
-    /// [`compute`](Self::compute) with an explicit worker count (testing
-    /// hook: the result must be identical for every `threads` value).
-    ///
-    /// Thin wrapper over the fused pipeline with a single
-    /// [`CompliancePass`] registered — callers that also need the
-    /// differential or lint summaries should register those passes in the
-    /// same [`Pipeline::run`] instead of paying a second generation sweep.
-    pub fn compute_with_threads(
-        corpus: &Corpus,
-        checker: &IssuanceChecker,
-        threads: usize,
-    ) -> CorpusSummary {
-        let (pass, _stats) = Pipeline::new(threads).run(corpus, checker, CompliancePass::new());
-        pass.into_summary()
-    }
-
     /// Fold a worker partial into this summary. `total` is intentionally
     /// NOT accumulated here (the pipeline pass tracks it per-visit);
     /// callers outside the pipeline must handle it themselves.
@@ -235,39 +198,12 @@ impl CorpusSummary {
         self.unified_incomplete_with_aia += other.unified_incomplete_with_aia;
         self.unified_incomplete_without_aia += other.unified_incomplete_without_aia;
         for (k, v) in other.by_server {
-            let e = self.by_server.entry(k).or_default();
-            e.any += v.any;
-            e.duplicates += v.duplicates;
-            e.duplicate_leaf += v.duplicate_leaf;
-            e.irrelevant += v.irrelevant;
-            e.multipath += v.multipath;
-            e.reversed += v.reversed;
-            e.incomplete += v.incomplete;
-            e.total += v.total;
+            self.by_server.entry(k).or_default().merge(v);
         }
         for (k, v) in other.by_ca {
-            let e = self.by_ca.entry(k).or_default();
-            e.any += v.any;
-            e.duplicates += v.duplicates;
-            e.duplicate_leaf += v.duplicate_leaf;
-            e.irrelevant += v.irrelevant;
-            e.multipath += v.multipath;
-            e.reversed += v.reversed;
-            e.incomplete += v.incomplete;
-            e.total += v.total;
+            self.by_ca.entry(k).or_default().merge(v);
         }
         self.longest_list = self.longest_list.max(other.longest_list);
-    }
-
-    /// Sequential pass over a rank range against a shared checker (thin
-    /// wrapper over [`pipeline::run_range`] with a [`CompliancePass`]).
-    pub fn compute_range(
-        corpus: &Corpus,
-        checker: &IssuanceChecker,
-        start: usize,
-        end: usize,
-    ) -> CorpusSummary {
-        pipeline::run_range(corpus, checker, start, end, CompliancePass::new()).into_summary()
     }
 }
 
@@ -288,38 +224,6 @@ pub struct DifferentialSummary {
 }
 
 impl DifferentialSummary {
-    /// Run the differential harness over the corpus (parallel over rank
-    /// ranges, partials merged). Workers share one sharded
-    /// [`IssuanceChecker`].
-    pub fn compute(corpus: &Corpus) -> DifferentialSummary {
-        let checker = IssuanceChecker::new();
-        Self::compute_with_checker(corpus, &checker)
-    }
-
-    /// [`compute`](Self::compute) against a caller-supplied shared checker.
-    /// Worker count comes from [`threads_from_env`] (`CCC_THREADS`
-    /// override, else detected cores).
-    pub fn compute_with_checker(
-        corpus: &Corpus,
-        checker: &IssuanceChecker,
-    ) -> DifferentialSummary {
-        Self::compute_with_threads(corpus, checker, threads_from_env())
-    }
-
-    /// [`compute`](Self::compute) with an explicit worker count.
-    ///
-    /// Thin wrapper over the fused pipeline with a single
-    /// [`DifferentialPass`]; fuse with [`CompliancePass`]/[`LintPass`]
-    /// via [`Pipeline::run`] when more than one summary is needed.
-    pub fn compute_with_threads(
-        corpus: &Corpus,
-        checker: &IssuanceChecker,
-        threads: usize,
-    ) -> DifferentialSummary {
-        let (pass, _stats) = Pipeline::new(threads).run(corpus, checker, DifferentialPass::new());
-        pass.into_summary()
-    }
-
     /// Fold a worker partial into this summary. `corpus_total` is
     /// intentionally NOT accumulated here (the pipeline pass tracks it
     /// per-visit).
@@ -345,44 +249,22 @@ impl DifferentialSummary {
             self.cause_examples.entry(k).or_insert(v);
         }
     }
-
-    /// Sequential pass over a rank range against a shared checker (thin
-    /// wrapper over [`pipeline::run_range`] with a [`DifferentialPass`]).
-    pub fn compute_range(
-        corpus: &Corpus,
-        checker: &IssuanceChecker,
-        start: usize,
-        end: usize,
-    ) -> DifferentialSummary {
-        pipeline::run_range(corpus, checker, start, end, DifferentialPass::new()).into_summary()
-    }
-}
-
-/// All eight client names in Table 9 order (for table headers).
-pub fn client_names() -> Vec<&'static str> {
-    ClientKind::ALL.iter().map(|k| k.name()).collect()
-}
-
-/// The server buckets in Table 10 column order.
-pub fn server_columns() -> Vec<&'static str> {
-    let mut seen = Vec::new();
-    for kind in HttpServerKind::ALL {
-        let label = kind.display_name();
-        if !seen.contains(&label) {
-            seen.push(label);
-        }
-    }
-    seen
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccc_core::IssuanceChecker;
+
+    fn compliance(corpus: &Corpus, checker: &IssuanceChecker, threads: usize) -> CorpusSummary {
+        let (pass, _) = Pipeline::new(threads).run(corpus, checker, CompliancePass::new());
+        pass.into_summary()
+    }
 
     #[test]
     fn summary_over_small_corpus_is_consistent() {
         let corpus = scan_corpus(500);
-        let s = CorpusSummary::compute(&corpus);
+        let s = compliance(&corpus, &IssuanceChecker::new(), 1);
         assert_eq!(s.total, 500);
         let placed: usize = s.placement.values().sum();
         assert_eq!(placed, 500);
@@ -417,15 +299,15 @@ mod tests {
         // The summary must be bit-identical across worker counts.
         let corpus = scan_corpus(600);
         let checker = IssuanceChecker::new();
-        let one = CorpusSummary::compute_with_threads(&corpus, &checker, 1);
-        let four = CorpusSummary::compute_with_threads(&corpus, &checker, 4);
-        assert_eq!(one, four);
+        assert_eq!(compliance(&corpus, &checker, 1), compliance(&corpus, &checker, 4));
     }
 
     #[test]
     fn differential_over_small_corpus() {
         let corpus = scan_corpus(400);
-        let d = DifferentialSummary::compute(&corpus);
+        let checker = IssuanceChecker::new();
+        let (pass, _) = Pipeline::new(1).run(&corpus, &checker, DifferentialPass::new());
+        let d = pass.into_summary();
         assert_eq!(d.corpus_total, 400);
         assert!(d.corpus_library_failures >= d.report.library_failures);
         // Browsers fail no more often than libraries.

@@ -10,17 +10,21 @@
 //! [`ObservationStore`], and fans the borrowed observation to every
 //! registered [`AnalysisPass`].
 //!
+//! `Pipeline::run` is the only way to sweep a whole corpus: the
+//! reproduction driver ([`crate::repro`]), the CLI, `table_lint` and the
+//! benchmarks all go through it. [`run_range`] is the sequential kernel
+//! the equivalence tests compare it against.
+//!
 //! Contract (all three are load-bearing for the equivalence tests):
 //!
-//! 1. **Bit-identity** — `Pipeline::run` with a single pass produces
-//!    exactly the same summary as the pass's legacy `compute_with_threads`
-//!    entry point, for every thread count. Fusing passes never changes any
-//!    result, because passes only *read* the shared observation and the
-//!    shared [`IssuanceChecker`] cache is semantically transparent.
-//! 2. **Thread invariance** — workers own rank-ordered chunks (the same
-//!    `CCC_THREADS` chunk pattern as the legacy paths: sequential below
-//!    256 domains, `div_ceil` chunks above) and partials merge in
-//!    thread-index order, so results are identical for any worker count.
+//! 1. **Bit-identity** — fusing passes never changes any result: a pass
+//!    run fused produces exactly the summary it produces alone, because
+//!    passes only *read* the shared observation and the shared
+//!    [`IssuanceChecker`] cache is semantically transparent.
+//! 2. **Thread invariance** — workers own rank-ordered chunks (sequential
+//!    below 256 domains, `div_ceil` chunks above) and partials merge in
+//!    thread-index order, so the result of `Pipeline::run` equals
+//!    [`run_range`] over the whole corpus for any worker count.
 //! 3. **Memory bound** — a worker holds at most
 //!    [`REUSE_WINDOW`]`.min(chunk)` observations at a time; whole-corpus
 //!    memory is O(threads × window), never O(corpus).
@@ -28,7 +32,8 @@
 //! Adding a pass: implement [`AnalysisPass`] (see DESIGN.md §12 for the
 //! contract), then hand it to [`Pipeline::run`] — tuples of passes are
 //! themselves passes, so `(CompliancePass::new(), LintPass::new())` fuses
-//! with no further plumbing.
+//! with no further plumbing, and `Option<P>` is a pass that runs `P` only
+//! when present.
 
 use crate::{threads_from_env, CorpusSummary, DifferentialSummary};
 use ccc_core::clients::{client_profiles, ClientKind};
@@ -51,9 +56,9 @@ use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// Corpora below this many domains always run on one worker (matches the
-/// legacy `compute_with_threads` threshold; spawning threads for tiny
-/// corpora costs more than it saves and the tests straddle this value).
+/// Corpora below this many domains always run on one worker (spawning
+/// threads for tiny corpora costs more than it saves; the tests straddle
+/// this value).
 pub const PARALLEL_THRESHOLD: usize = 256;
 
 /// Per-worker [`ObservationStore`] ring capacity. Each rank in a sweep is
@@ -190,6 +195,35 @@ impl_pass_for_tuple!(A.0, B.1);
 impl_pass_for_tuple!(A.0, B.1, C.2);
 impl_pass_for_tuple!(A.0, B.1, C.2, D.3);
 
+/// An optional pass: `None` visits nothing and counts as zero passes, so
+/// a driver can register exactly the passes its outputs need.
+impl<'c, P: AnalysisPass<'c>> AnalysisPass<'c> for Option<P> {
+    fn name(&self) -> &'static str {
+        self.as_ref().map_or("none", P::name)
+    }
+    fn begin(&self, ctx: PassContext<'c>) -> Self {
+        self.as_ref().map(|p| p.begin(ctx))
+    }
+    fn visit(&mut self, obs: &DomainObservation, memo: &ObservationMemo) {
+        if let Some(p) = self {
+            p.visit(obs, memo);
+        }
+    }
+    fn merge(&mut self, other: Self) {
+        if let (Some(p), Some(other)) = (self, other) {
+            p.merge(other);
+        }
+    }
+    fn finish(&mut self, ctx: PassContext<'c>) {
+        if let Some(p) = self {
+            p.finish(ctx);
+        }
+    }
+    fn pass_count(&self) -> usize {
+        self.as_ref().map_or(0, P::pass_count)
+    }
+}
+
 /// Per-phase accounting for one [`Pipeline::run`].
 #[derive(Clone, Debug)]
 pub struct PipelineStats {
@@ -212,12 +246,20 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    /// Multi-line human rendering: the generation/analysis split plus the
-    /// cache-stat delta, in `render_cache_stats` style.
+    /// Multi-line human rendering: the generation/analysis split in
+    /// worker-seconds next to the sweep's wall time, plus the cache-stat
+    /// delta, in `render_cache_stats` style.
     pub fn render(&self) -> String {
         format!(
             "{}\n{}",
-            render_phase_split(self.generation, self.analysis, self.observations, self.passes),
+            render_phase_split(
+                self.generation,
+                self.analysis,
+                self.wall,
+                self.threads,
+                self.observations,
+                self.passes
+            ),
             render_cache_stats(&self.cache)
         )
     }
@@ -256,12 +298,12 @@ fn pipeline_metrics() -> &'static PipelineMetrics {
                 "Worker count of the most recent sweep (volatile).",
             ),
             generation_us: reg.counter_volatile(
-                "ccc_pipeline_generation_us_total",
-                "Observation-generation CPU microseconds, summed across workers (volatile).",
+                "ccc_pipeline_generation_worker_us_total",
+                "Observation-generation microseconds, summed across workers (volatile).",
             ),
             analysis_us: reg.counter_volatile(
-                "ccc_pipeline_analysis_us_total",
-                "Pass-visit CPU microseconds, summed across workers (volatile).",
+                "ccc_pipeline_analysis_worker_us_total",
+                "Pass-visit microseconds, summed across workers (volatile).",
             ),
             wall_us: reg.counter_volatile(
                 "ccc_pipeline_wall_us_total",
@@ -309,15 +351,9 @@ impl Pipeline {
     }
 
     /// Worker count from `CCC_THREADS` (else detected cores, capped at
-    /// 16) — the same resolution every legacy `compute_with_checker`
-    /// entry point uses.
+    /// 16; see [`threads_from_env`]).
     pub fn from_env() -> Pipeline {
         Pipeline::new(threads_from_env())
-    }
-
-    /// The worker count this pipeline will use.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Sweep the whole corpus once, generating each observation a single
@@ -388,10 +424,11 @@ impl Pipeline {
     }
 }
 
-/// Run a forked worker pass over one rank range (the sequential kernel
-/// the legacy `compute_range` entry points delegate to). Each observation
-/// is generated once through a bounded [`ObservationStore`] and consumed
-/// by reference.
+/// Run a forked worker pass over one rank range on the calling thread:
+/// the sequential kernel every [`Pipeline::run`] worker executes, and the
+/// reference the equivalence tests compare threaded sweeps against. Each
+/// observation is generated once through a bounded [`ObservationStore`]
+/// and consumed by reference.
 pub fn run_range<'c, P: AnalysisPass<'c>>(
     corpus: &'c Corpus,
     checker: &'c IssuanceChecker,
@@ -741,7 +778,8 @@ impl<'c> AnalysisPass<'c> for DifferentialPass<'c> {
 /// facility and `ccc-bench` already depends on `ccc-lint`; the pass is a
 /// thin adapter over the public [`LintEngine`] /
 /// [`LintSummary::absorb_chain`] API, and the equivalence suite pins it
-/// bit-identical to `LintSummary::compute_with_threads`.
+/// bit-identical to the sequential `LintSummary::compute_range`
+/// reference.
 #[derive(Debug, Default)]
 pub struct LintPass<'c> {
     engine: Option<LintEngine<'c>>,
@@ -1098,12 +1136,12 @@ mod tests {
         let checker = IssuanceChecker::new();
         assert_eq!(
             compliance.into_summary(),
-            CorpusSummary::compute_with_threads(&corpus, &checker, 1)
+            run_range(&corpus, &checker, 0, 120, CompliancePass::new()).into_summary()
         );
         let checker = IssuanceChecker::new();
         assert_eq!(
             lint.into_summary(),
-            LintSummary::compute_with_threads(&corpus, &checker, 1)
+            run_range(&corpus, &checker, 0, 120, LintPass::new()).into_summary()
         );
     }
 
@@ -1115,8 +1153,8 @@ mod tests {
         let text = stats.render();
         assert!(text.contains("generated once"), "{text}");
         assert!(text.contains("signature cache"), "{text}");
-        assert!(text.contains("generation"), "{text}");
-        assert!(text.contains("analysis"), "{text}");
+        assert!(text.contains("worker-s"), "{text}");
+        assert!(text.contains("on 1 worker(s)"), "{text}");
     }
 
     #[test]
@@ -1124,8 +1162,8 @@ mod tests {
         // Regression: `run_chunk` used to clamp the reuse window with
         // `end.saturating_sub(start).max(1)`, silently allocating a
         // 1-slot ObservationStore for an empty rank range. The empty
-        // sweep must short-circuit and still agree with the standalone
-        // compute paths on an empty corpus.
+        // sweep must short-circuit and still agree with the sequential
+        // kernel on an empty corpus.
         let corpus = scan_corpus(0);
         let checker = IssuanceChecker::new();
         let ((compliance, lint), stats) = Pipeline::new(1).run(
@@ -1139,12 +1177,12 @@ mod tests {
         let solo = IssuanceChecker::new();
         assert_eq!(
             compliance.into_summary(),
-            CorpusSummary::compute_with_threads(&corpus, &solo, 1)
+            run_range(&corpus, &solo, 0, 0, CompliancePass::new()).into_summary()
         );
         let solo = IssuanceChecker::new();
         assert_eq!(
             lint.into_summary(),
-            LintSummary::compute_with_threads(&corpus, &solo, 1)
+            run_range(&corpus, &solo, 0, 0, LintPass::new()).into_summary()
         );
     }
 

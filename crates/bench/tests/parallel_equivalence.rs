@@ -1,14 +1,16 @@
 //! Concurrency guarantees of the shared sharded [`IssuanceChecker`]:
 //!
-//! 1. Parallel corpus passes are *bit-identical* to the sequential pass,
-//!    whatever the worker count — sharing one signature cache across
-//!    threads must never change results, only save work.
+//! 1. Parallel corpus passes (`Pipeline::run`) are *bit-identical* to the
+//!    sequential kernel (`run_range` over the whole corpus), whatever the
+//!    worker count — sharing one signature cache across threads must
+//!    never change results, only save work.
 //! 2. Hammering one checker from many threads performs each unique
 //!    (issuer, subject) verification exactly once; every other lookup is
 //!    either a hit or a coalesced wait (the old double-lock design
 //!    recomputed in that window).
 
-use ccc_bench::{scan_corpus, CorpusSummary, DifferentialSummary};
+use ccc_bench::pipeline::run_range;
+use ccc_bench::{scan_corpus, CompliancePass, DifferentialPass, Pipeline};
 use ccc_core::IssuanceChecker;
 use ccc_x509::CertificateFingerprint;
 use std::collections::HashSet;
@@ -25,11 +27,14 @@ fn parallel_summary_is_bit_identical_to_sequential() {
     for domains in [200usize, 272] {
         let corpus = scan_corpus(domains);
         let reference_checker = IssuanceChecker::new();
-        let reference = CorpusSummary::compute_range(&corpus, &reference_checker, 0, domains);
+        let reference =
+            run_range(&corpus, &reference_checker, 0, domains, CompliancePass::new())
+                .into_summary();
         assert_eq!(reference.total, domains);
         for threads in THREAD_COUNTS {
             let checker = IssuanceChecker::new();
-            let summary = CorpusSummary::compute_with_threads(&corpus, &checker, threads);
+            let (pass, _) = Pipeline::new(threads).run(&corpus, &checker, CompliancePass::new());
+            let summary = pass.into_summary();
             assert_eq!(
                 summary, reference,
                 "parallel summary diverged (domains={domains}, threads={threads})"
@@ -49,10 +54,11 @@ fn parallel_differential_is_bit_identical_to_sequential() {
     let corpus = scan_corpus(domains);
     let reference_checker = IssuanceChecker::new();
     let reference =
-        DifferentialSummary::compute_range(&corpus, &reference_checker, 0, domains);
+        run_range(&corpus, &reference_checker, 0, domains, DifferentialPass::new()).into_summary();
     for threads in THREAD_COUNTS {
         let checker = IssuanceChecker::new();
-        let summary = DifferentialSummary::compute_with_threads(&corpus, &checker, threads);
+        let (pass, _) = Pipeline::new(threads).run(&corpus, &checker, DifferentialPass::new());
+        let summary = pass.into_summary();
         assert_eq!(summary.report, reference.report, "threads={threads}");
         assert_eq!(
             summary.corpus_library_failures,

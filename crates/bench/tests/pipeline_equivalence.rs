@@ -2,19 +2,20 @@
 //!
 //! 1. Running the three analysis passes **fused** — one generation sweep,
 //!    one shared checker, shared per-observation memo — is *bit-identical*
-//!    to running each standalone `compute_with_threads` entry point with
-//!    its own fresh checker, for every worker count.
+//!    to running each pass alone in its own `Pipeline::run` with a fresh
+//!    checker, for every worker count. The lint side is additionally
+//!    pinned to `LintSummary::compute_range`, the sequential reference
+//!    that builds its own topology with no memo and no prefetch.
 //! 2. The guarantee holds on both sides of the 256-domain parallelism
 //!    threshold and is seed-independent (property test).
 //!
-//! This is the contract that lets `chain-chaos matrix`/`lint`, the table
-//! binaries, and the committed `BENCH_pipeline.json` snapshot use the
-//! fused path while the golden outputs stay pinned to the standalone
-//! numbers.
+//! This is the contract that lets `chain-chaos repro`, `table_lint` and
+//! the committed `BENCH_pipeline.json` snapshot fuse passes while every
+//! table's output stays what that pass computes alone.
 
 use ccc_bench::{
-    scan_corpus, CompliancePass, CorpusSummary, DifferentialPass, DifferentialSummary, LintPass,
-    Pipeline,
+    scan_corpus, AnalysisPass, CompliancePass, CorpusSummary, DifferentialPass,
+    DifferentialSummary, LintPass, Pipeline,
 };
 use ccc_core::IssuanceChecker;
 use ccc_lint::LintSummary;
@@ -25,18 +26,31 @@ use proptest::prelude::*;
 /// workers than this container has cores (8).
 const THREAD_COUNTS: [usize; 3] = [1, 3, 8];
 
-/// Standalone reference summaries, each computed exactly the way the
-/// one-pass `compute*` entry points do it: a fresh checker per analysis.
+/// One pass alone in its own sweep, with a fresh checker.
+fn alone<'c, P: AnalysisPass<'c>>(
+    corpus: &'c Corpus,
+    checker: &'c IssuanceChecker,
+    threads: usize,
+    pass: P,
+) -> P {
+    let (pass, stats) = Pipeline::new(threads).run(corpus, checker, pass);
+    assert_eq!(stats.passes, 1);
+    pass
+}
+
+/// Standalone reference summaries: each pass in a single-pass sweep with
+/// its own fresh checker, and lint also through the sequential
+/// `LintSummary::compute_range` reference (which must agree).
 fn standalone(
     corpus: &Corpus,
     threads: usize,
 ) -> (CorpusSummary, DifferentialSummary, LintSummary) {
-    let c1 = IssuanceChecker::new();
-    let compliance = CorpusSummary::compute_with_threads(corpus, &c1, threads);
-    let c2 = IssuanceChecker::new();
-    let differential = DifferentialSummary::compute_with_threads(corpus, &c2, threads);
-    let c3 = IssuanceChecker::new();
-    let lint = LintSummary::compute_with_threads(corpus, &c3, threads);
+    let (c1, c2, c3) = (IssuanceChecker::new(), IssuanceChecker::new(), IssuanceChecker::new());
+    let compliance = alone(corpus, &c1, threads, CompliancePass::new()).into_summary();
+    let differential = alone(corpus, &c2, threads, DifferentialPass::new()).into_summary();
+    let lint = alone(corpus, &c3, threads, LintPass::new()).into_summary();
+    let reference = LintSummary::compute_range(corpus, &IssuanceChecker::new(), 0, corpus.spec.domains);
+    assert_eq!(lint, reference, "LintPass diverged from compute_range (threads={threads})");
     (compliance, differential, lint)
 }
 

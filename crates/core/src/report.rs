@@ -152,21 +152,25 @@ pub fn render_cache_stats(stats: &crate::topology::CacheStats) -> String {
     line
 }
 
-/// Two-line rendering of a fused sweep's per-phase wall-time split, in
-/// the same one-line-metric style as [`render_cache_stats`]:
+/// Two-line rendering of a fused sweep's per-phase split, in the same
+/// one-line-metric style as [`render_cache_stats`]:
 ///
 /// ```text
 /// pipeline: 1,000 observation(s) generated once, consumed by 3 pass(es)
-/// phase split: generation 1.243s (62.1%) · analysis 0.758s (37.9%)
+/// phase split: generation 1.243 worker-s (62.1%) · analysis 0.758 worker-s (37.9%) · wall 1.050s on 2 worker(s)
 /// ```
 ///
 /// `generation` is the time spent producing the inputs (corpus
 /// observation synthesis, or chain parsing for the CLI), `analysis` the
-/// time spent inside the registered passes; both are summed across
-/// workers, so they are CPU time on parallel sweeps.
+/// time spent inside the registered passes. Both are summed across
+/// workers, so they are rendered as worker-seconds and their sum can
+/// exceed `wall`, the sweep's elapsed time on `workers` workers; the
+/// percentages split the worker time.
 pub fn render_phase_split(
     generation: std::time::Duration,
     analysis: std::time::Duration,
+    wall: std::time::Duration,
+    workers: usize,
     observations: usize,
     passes: usize,
 ) -> String {
@@ -180,13 +184,16 @@ pub fn render_phase_split(
     };
     format!(
         "pipeline: {} observation(s) generated once, consumed by {} pass(es)\n\
-         phase split: generation {:.3}s ({:.1}%) · analysis {:.3}s ({:.1}%)",
+         phase split: generation {:.3} worker-s ({:.1}%) · analysis {:.3} worker-s ({:.1}%) \
+         · wall {:.3}s on {} worker(s)",
         group_thousands(observations),
         passes,
         generation.as_secs_f64(),
         pct(generation),
         analysis.as_secs_f64(),
         pct(analysis),
+        wall.as_secs_f64(),
+        workers,
     )
 }
 
@@ -199,13 +206,18 @@ mod tests {
         let text = render_phase_split(
             std::time::Duration::from_millis(750),
             std::time::Duration::from_millis(250),
+            std::time::Duration::from_millis(600),
+            2,
             1234,
             3,
         );
         assert!(text.contains("1,234 observation(s)"), "{text}");
         assert!(text.contains("consumed by 3 pass(es)"), "{text}");
-        assert!(text.contains("generation 0.750s (75.0%)"), "{text}");
-        assert!(text.contains("analysis 0.250s (25.0%)"), "{text}");
+        assert!(text.contains("generation 0.750 worker-s (75.0%)"), "{text}");
+        assert!(text.contains("analysis 0.250 worker-s (25.0%)"), "{text}");
+        // Worker time (1.0 worker-s) exceeds wall on 2 workers; the line
+        // carries both so the sum is not read as elapsed time.
+        assert!(text.contains("wall 0.600s on 2 worker(s)"), "{text}");
     }
 
     #[test]
@@ -213,6 +225,8 @@ mod tests {
         let text = render_phase_split(
             std::time::Duration::ZERO,
             std::time::Duration::ZERO,
+            std::time::Duration::ZERO,
+            1,
             0,
             1,
         );

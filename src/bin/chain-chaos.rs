@@ -16,6 +16,9 @@
 //! chain-chaos chaos [--domains N] [--fault-seed S] [--rates a,b,c]
 //!                                        I-4 availability under deterministic
 //!                                        network-fault injection
+//! chain-chaos repro <name>... | all [--domains N]
+//!                                        print the paper's tables and figures
+//!                                        from one corpus sweep
 //! chain-chaos metrics [--metrics <path>] dump the metric families (no work)
 //! ```
 //!
@@ -301,10 +304,18 @@ fn cmd_matrix(args: &Args) -> Result<(), String> {
         table.row(&[kind.name().to_string(), verdict, built]);
     }
     let analysis = analysis_start.elapsed();
+    let wall = gen_start.elapsed();
     println!("{}", table.render());
     println!(
         "{}",
-        chain_chaos::core::report::render_phase_split(generation, analysis, 1, ClientKind::ALL.len())
+        chain_chaos::core::report::render_phase_split(
+            generation,
+            analysis,
+            wall,
+            1,
+            1,
+            ClientKind::ALL.len()
+        )
     );
     let stats = checker.snapshot_stats();
     println!("{}", chain_chaos::core::report::render_cache_stats(&stats));
@@ -344,6 +355,7 @@ fn cmd_lint(args: &Args) -> Result<ExitCode, String> {
     let analysis_start = std::time::Instant::now();
     let findings = engine.lint_chain(&domain, &served);
     let analysis = analysis_start.elapsed();
+    let wall = gen_start.elapsed();
     // Load-vs-lint wall split on stderr: stdout carries only findings so
     // json/sarif output stays machine-parseable.
     eprintln!(
@@ -351,6 +363,8 @@ fn cmd_lint(args: &Args) -> Result<ExitCode, String> {
         chain_chaos::core::report::render_phase_split(
             generation,
             analysis,
+            wall,
+            1,
             1,
             chain_chaos::lint::registry().len(),
         )
@@ -406,10 +420,11 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     let rates: Vec<f64> = match args.opt("rates") {
         Some(v) => v
             .split(',')
-            .map(|r| {
-                r.trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad rate '{r}'"))
+            .map(|r| match r.trim().parse::<f64>() {
+                // The range check also rejects NaN.
+                Ok(rate) if (0.0..=1.0).contains(&rate) => Ok(rate),
+                Ok(_) => Err(format!("rate '{r}' is outside [0, 1]")),
+                Err(_) => Err(format!("bad rate '{r}'")),
             })
             .collect::<Result<Vec<f64>, String>>()?,
         None => vec![0.0, 0.1, 0.3],
@@ -458,6 +473,30 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         );
     }
     eprintln!("{}", stats.render());
+    Ok(())
+}
+
+/// `chain-chaos repro`: print the named paper tables (or `all`, in README
+/// order) from one sweep of the scan corpus. stdout carries only the
+/// tables, byte-identical for any `CCC_THREADS` worker count; the sweep's
+/// phase split and cache stats go to stderr.
+fn cmd_repro(args: &Args) -> Result<(), String> {
+    use chain_chaos::bench::{repro, Pipeline, DEFAULT_DOMAINS};
+
+    let domains: usize = match args.opt("domains") {
+        Some(v) => v.parse().map_err(|_| format!("bad --domains '{v}'"))?,
+        None => DEFAULT_DOMAINS,
+    };
+    let tables = repro::select(&args.positional[1..])
+        .map_err(|e| format!("{e}\nusage: chain-chaos repro <name>... | all [--domains N]"))?;
+    if tables.iter().any(|t| t.needs_corpus()) {
+        eprintln!("scanning {domains} synthetic domains…");
+    }
+    let (text, stats) = repro::run(&tables, domains, Pipeline::from_env());
+    print!("{text}");
+    if let Some(stats) = stats {
+        eprintln!("{}", stats.render());
+    }
     Ok(())
 }
 
@@ -515,6 +554,7 @@ fn main() -> ExitCode {
         "matrix" => Some(chain_chaos::obs::span!("cmd.matrix")),
         "lint" => Some(chain_chaos::obs::span!("cmd.lint")),
         "chaos" => Some(chain_chaos::obs::span!("cmd.chaos")),
+        "repro" => Some(chain_chaos::obs::span!("cmd.repro")),
         _ => None,
     };
     let result = match command {
@@ -524,6 +564,7 @@ fn main() -> ExitCode {
         "matrix" => cmd_matrix(&args).map(|()| ExitCode::SUCCESS),
         "lint" => cmd_lint(&args),
         "chaos" => cmd_chaos(&args).map(|()| ExitCode::SUCCESS),
+        "repro" => cmd_repro(&args).map(|()| ExitCode::SUCCESS),
         "metrics" => cmd_metrics(&args).map(|()| ExitCode::SUCCESS),
         _ => {
             eprintln!(
@@ -536,6 +577,7 @@ fn main() -> ExitCode {
                  \x20 lint    <chain.pem> [--domain D] [--store roots.pem] [--format text|json|sarif]\n\
                  \x20         [--time YYYY-MM-DD] [--baseline f] [--write-baseline f]\n\
                  \x20 chaos   [--domains N] [--fault-seed S] [--rates a,b,c]\n\
+                 \x20 repro   <name>... | all [--domains N]\n\
                  \x20 metrics [--metrics <path>]\n\n\
                  every command accepts --metrics <path> to dump the ccc-obs\n\
                  registry afterwards (Prometheus text; *.json for JSON; - for stdout)"

@@ -268,3 +268,42 @@ fn bad_inputs_produce_clean_errors() {
     assert!(!output.status.success());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn chaos_rejects_rates_outside_the_unit_interval() {
+    for rate in ["2.5", "-0.1", "nan"] {
+        let output = bin()
+            .args(["chaos", "--domains", "10", "--rates", &format!("0.1,{rate}")])
+            .output()
+            .expect("run");
+        assert!(!output.status.success(), "rate {rate} was accepted");
+        assert!(output.stdout.is_empty(), "rate {rate} printed a table");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(err.contains(rate), "error does not name {rate}: {err}");
+    }
+}
+
+#[test]
+fn repro_rejects_unknown_tables_and_bad_domain_counts() {
+    for args in [
+        &["repro", "nosuchtable"][..],
+        &["repro", "table3", "--domains", "x"],
+        &["repro"],
+    ] {
+        let output = bin().args(args).output().expect("run");
+        assert!(!output.status.success(), "{args:?} succeeded");
+        assert!(output.stdout.is_empty(), "{args:?} printed to stdout");
+    }
+}
+
+#[test]
+fn repro_prints_fixture_tables_without_a_corpus() {
+    let output = bin().args(["repro", "table1", "table2"]).output().expect("run");
+    assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+    let text = String::from_utf8_lossy(&output.stdout);
+    let t1 = text.find("== Table 1").expect("table1 printed");
+    let t2 = text.find("== Table 2").expect("table2 printed");
+    assert!(t1 < t2, "tables out of order: {text}");
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(!err.contains("scanning"), "fixture tables built a corpus: {err}");
+}
