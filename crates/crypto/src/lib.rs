@@ -7,6 +7,14 @@
 //! signature" semantics — including mismatches — but not production-grade
 //! performance or side-channel hardening.
 //!
+//! SHA-256 sits under every DRBG draw, nonce, challenge, serial and
+//! fingerprint, so its block function has a fast route: on `x86_64` CPUs
+//! with the SHA extensions it runs `sha256rnds2`/`sha256msg1`/`sha256msg2`
+//! through `std::arch`, chosen per call by `is_x86_feature_detected!`. The
+//! portable rounds stay as the reference and the fallback, and the unit
+//! tests in [`sha256`](mod@sha256) hold the two to the same digests. That
+//! module is the only place in the workspace where `unsafe` is allowed.
+//!
 //! Two group presets are provided:
 //! - [`schnorr::Group::simulation_256`]: a 256-bit safe-prime group used by
 //!   the corpus generators so that million-certificate experiments stay fast;

@@ -40,42 +40,41 @@ impl Sha1 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        let (blocks, rest) = data.split_at(data.len() - data.len() % 64);
+        compress_blocks(&mut self.state, blocks);
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffer_len = rest.len();
     }
 
     /// Finish and return the 20-byte digest.
     pub fn finalize(mut self) -> [u8; 20] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-        }
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        // `0x80`, the zero fill and the 64-bit bit length, in one block, or
+        // in two when the length no longer fits after 56+ buffered bytes.
+        let mut tail = [0u8; 128];
+        let n = self.buffer_len;
+        tail[..n].copy_from_slice(&self.buffer[..n]);
+        tail[n] = 0x80;
+        let len = if n < 56 { 64 } else { 128 };
+        tail[len - 8..len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, &tail[..len]);
         let mut out = [0u8; 20];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Compress `blocks` (a whole number of 64-byte blocks) into `state`.
+fn compress_blocks(state: &mut [u32; 5], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 80];
         for i in 0..16 {
             w[i] = u32::from_be_bytes([
@@ -88,7 +87,7 @@ impl Sha1 {
         for i in 16..80 {
             w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
         }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
         for (i, &wi) in w.iter().enumerate() {
             let (f, k) = match i {
                 0..=19 => ((b & c) | (!b & d), 0x5a827999u32),
@@ -108,11 +107,11 @@ impl Sha1 {
             b = a;
             a = t;
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
     }
 }
 
@@ -149,6 +148,34 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha1(&data));
+        }
+    }
+
+    #[test]
+    fn million_a() {
+        let mut h = Sha1::new();
+        let chunk = [b'a'; 1000];
+        for _ in 0..1000 {
+            h.update(&chunk);
+        }
+        assert_eq!(
+            hex(&h.finalize()),
+            "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
+        );
+    }
+
+    #[test]
+    fn length_boundary_inputs() {
+        // Inputs around the 55/56-byte padding boundary, in the first and
+        // the second block.
+        for len in (50..70usize).chain(115..135) {
+            let data: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let d1 = sha1(&data);
+            let mut h = Sha1::new();
+            for b in &data {
+                h.update(&[*b]);
+            }
+            assert_eq!(h.finalize(), d1, "len {len}");
         }
     }
 }

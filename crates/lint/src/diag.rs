@@ -78,8 +78,9 @@ pub struct Finding {
     pub byte_offset: Option<usize>,
     /// Length in bytes of that region.
     pub byte_length: Option<usize>,
-    /// Stable content fingerprint: `sha256(rule ‖ domain ‖ site)[..16]`
-    /// hex. Baselines suppress by `(rule_id, fingerprint)`.
+    /// Stable content fingerprint: the first 8 bytes of
+    /// `sha256(rule ‖ 0x00 ‖ domain ‖ 0x00 ‖ site)` as 16 lowercase hex
+    /// digits. Baselines suppress by `(rule_id, fingerprint)`.
     pub fingerprint: String,
 }
 
