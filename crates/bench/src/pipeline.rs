@@ -6,9 +6,8 @@
 //! regenerate every [`DomainObservation`] from scratch (DRBG draws,
 //! certificate building, DER encoding, SHA-256 fingerprinting) once *per
 //! analysis*. The pipeline sweeps the rank range **once**, generates each
-//! observation a single time through a bounded per-worker
-//! [`ObservationStore`], and fans the borrowed observation to every
-//! registered [`AnalysisPass`].
+//! observation a single time, and fans the borrowed observation to every
+//! registered [`AnalysisPass`] before dropping it.
 //!
 //! `Pipeline::run` is the only way to sweep a whole corpus: the
 //! reproduction driver ([`crate::repro`]), the CLI, `table_lint` and the
@@ -25,9 +24,8 @@
 //!    below 256 domains, `div_ceil` chunks above) and partials merge in
 //!    thread-index order, so the result of `Pipeline::run` equals
 //!    [`run_range`] over the whole corpus for any worker count.
-//! 3. **Memory bound** — a worker holds at most
-//!    [`REUSE_WINDOW`]`.min(chunk)` observations at a time; whole-corpus
-//!    memory is O(threads × window), never O(corpus).
+//! 3. **Memory bound** — a worker holds one observation at a time;
+//!    whole-corpus memory is O(threads), never O(corpus).
 //!
 //! Adding a pass: implement [`AnalysisPass`] (see DESIGN.md §12 for the
 //! contract), then hand it to [`Pipeline::run`] — tuples of passes are
@@ -50,7 +48,7 @@ use ccc_lint::{LintEngine, LintSummary};
 use ccc_netsim::{FaultPlan, FaultyTransport};
 use ccc_rootstore::{RootProgram, RootStore};
 use ccc_testgen::corpus::scan_time;
-use ccc_testgen::{Corpus, DomainObservation, ObservationStore};
+use ccc_testgen::{Corpus, DomainObservation};
 use ccc_x509::Certificate;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
@@ -60,12 +58,6 @@ use std::time::{Duration, Instant};
 /// threads for tiny corpora costs more than it saves; the tests straddle
 /// this value).
 pub const PARALLEL_THRESHOLD: usize = 256;
-
-/// Per-worker [`ObservationStore`] ring capacity. Each rank in a sweep is
-/// visited exactly once, so the window only needs to cover the
-/// currently-borrowed observation plus a little lookback slack; the
-/// worker's resident set is `REUSE_WINDOW.min(chunk)` observations.
-pub const REUSE_WINDOW: usize = 32;
 
 /// Everything a pass may borrow for the duration of one pipeline run.
 #[derive(Clone, Copy, Debug)]
@@ -90,7 +82,7 @@ pub struct PassContext<'c> {
 /// (the equivalence suite pins this).
 ///
 /// Lives for exactly one observation; dropped before the next rank, so it
-/// never grows the pipeline's O(window) memory bound.
+/// never grows the pipeline's one-observation-per-worker memory bound.
 #[derive(Debug, Default)]
 pub struct ObservationMemo {
     graph: OnceCell<TopologyGraph>,
@@ -427,8 +419,7 @@ impl Pipeline {
 /// Run a forked worker pass over one rank range on the calling thread:
 /// the sequential kernel every [`Pipeline::run`] worker executes, and the
 /// reference the equivalence tests compare threaded sweeps against. Each
-/// observation is generated once through a bounded [`ObservationStore`]
-/// and consumed by reference.
+/// observation is generated once, visited by reference, and dropped.
 pub fn run_range<'c, P: AnalysisPass<'c>>(
     corpus: &'c Corpus,
     checker: &'c IssuanceChecker,
@@ -447,20 +438,11 @@ fn run_chunk<'c, P: AnalysisPass<'c>>(
     start: usize,
     end: usize,
 ) -> (P, Duration, Duration) {
-    if start >= end {
-        // Empty rank range (zero-domain corpus, `start == end` range, or
-        // a trailing worker past the clamped chunk edges): nothing to
-        // generate, so return the untouched worker instead of allocating
-        // a bogus 1-slot store for zero observations.
-        return (worker, Duration::ZERO, Duration::ZERO);
-    }
-    let window = REUSE_WINDOW.min(end - start);
-    let mut store = ObservationStore::new(ctx.corpus, window);
     let mut generation = Duration::ZERO;
     let mut analysis = Duration::ZERO;
     for rank in start..end {
         let gen_start = Instant::now();
-        let obs = store.get(rank);
+        let obs = ctx.corpus.observation(rank);
         let visit_start = Instant::now();
         // Verify this observation's not-yet-cached issuance pairs into
         // the shared cache before the passes sweep it, so their lookups
@@ -468,7 +450,7 @@ fn run_chunk<'c, P: AnalysisPass<'c>>(
         // passes would otherwise do on their first lookups.
         ctx.checker.prefetch_served(&obs.served);
         let memo = ObservationMemo::default();
-        worker.visit(obs, &memo);
+        worker.visit(&obs, &memo);
         generation += visit_start.duration_since(gen_start);
         analysis += visit_start.elapsed();
     }
@@ -1159,11 +1141,8 @@ mod tests {
 
     #[test]
     fn zero_domain_corpus_runs_without_allocating_a_store() {
-        // Regression: `run_chunk` used to clamp the reuse window with
-        // `end.saturating_sub(start).max(1)`, silently allocating a
-        // 1-slot ObservationStore for an empty rank range. The empty
-        // sweep must short-circuit and still agree with the sequential
-        // kernel on an empty corpus.
+        // An empty corpus generates nothing and touches no cache, and the
+        // empty sweep still agrees with the sequential kernel.
         let corpus = scan_corpus(0);
         let checker = IssuanceChecker::new();
         let ((compliance, lint), stats) = Pipeline::new(1).run(

@@ -10,8 +10,8 @@
 //!    threshold and is seed-independent (property test).
 //!
 //! This is the contract that lets `chain-chaos repro`, `table_lint` and
-//! the committed `BENCH_pipeline.json` snapshot fuse passes while every
-//! table's output stays what that pass computes alone.
+//! `benches/pipeline.rs` fuse passes while every table's output stays
+//! what that pass computes alone.
 
 use ccc_bench::{
     scan_corpus, AnalysisPass, CompliancePass, CorpusSummary, DifferentialPass,

@@ -476,8 +476,8 @@ pub(crate) struct PoolSeed {
 
 impl PoolSeed {
     /// Deduplicate the served list and resolve store membership. This is
-    /// the single source of truth for base-pool construction; the legacy
-    /// per-engine path in [`ChainEngine::process`] routes through it too.
+    /// the single source of truth for base-pool construction;
+    /// [`ChainEngine::process`] routes through it too.
     pub(crate) fn build(served: &[Certificate], ctx: &BuildContext<'_>) -> PoolSeed {
         let mut pool: Vec<Candidate> = Vec::new();
         let mut seen = FingerprintSet::default();
@@ -564,26 +564,22 @@ impl ChainEngine {
 
     /// Process a served certificate list: construct a path and validate it.
     pub fn process(&self, served: &[Certificate], ctx: &BuildContext<'_>) -> BuildOutcome {
-        let scratch = RunScratch::default();
-        let mut stats = BuildStats::default();
-        let cache_before = ctx.checker.counters();
-        let (path, verdict) = self.process_inner(served, ctx, &mut stats, None, &scratch);
-        stats.cache = ctx.checker.counters().since(&cache_before);
-        record_build_metrics(&stats, verdict.is_ok());
-        BuildOutcome {
-            path,
-            verdict,
-            stats,
-        }
+        let seed = PoolSeed::build(served, ctx);
+        let cache_pool = if self.policy.use_intermediate_cache {
+            CachePool::build(ctx.cache, ctx.store)
+        } else {
+            CachePool::default()
+        };
+        self.process_shared(served, ctx, &seed, &cache_pool, &RunScratch::default())
     }
 
-    /// [`process`](Self::process) with a pre-built base pool and scratch
+    /// [`process`](Self::process) with a base pool, cache pool and scratch
     /// shared across engines. Bit-identical to `process`: the seed is
     /// exactly what [`PoolSeed::build`] returns for `(served, ctx)`,
     /// `cache_pool` resolves `ctx.cache` against `ctx.store`, and the
     /// scratch only memoizes (certificate, store)-determined lookups; the
     /// per-engine work that remains is the policy-dependent search itself.
-    pub(crate) fn process_with_seed(
+    pub(crate) fn process_shared(
         &self,
         served: &[Certificate],
         ctx: &BuildContext<'_>,
@@ -594,7 +590,7 @@ impl ChainEngine {
         let mut stats = BuildStats::default();
         let cache_before = ctx.checker.counters();
         let (path, verdict) =
-            self.process_inner(served, ctx, &mut stats, Some((seed, cache_pool)), scratch);
+            self.process_inner(served, ctx, &mut stats, seed, cache_pool, scratch);
         stats.cache = ctx.checker.counters().since(&cache_before);
         record_build_metrics(&stats, verdict.is_ok());
         BuildOutcome {
@@ -604,15 +600,15 @@ impl ChainEngine {
         }
     }
 
-    /// [`process`](Self::process) body; the caller wraps it with the
-    /// signature-cache counter delta. With `seed`, the base pool is
-    /// borrowed from the shared [`PoolSeed`] instead of rebuilt.
+    /// [`process_shared`](Self::process_shared) body; the caller wraps it
+    /// with the signature-cache counter delta.
     fn process_inner(
         &self,
         served: &[Certificate],
         ctx: &BuildContext<'_>,
         stats: &mut BuildStats,
-        seed: Option<(&PoolSeed, &CachePool)>,
+        seed: &PoolSeed,
+        cache_pool: &CachePool,
         scratch: &RunScratch,
     ) -> (Vec<Certificate>, Result<(), ClientError>) {
         let p = &self.policy;
@@ -632,40 +628,16 @@ impl ChainEngine {
         }
 
         // Candidate pool: the deduplicated served list is the borrowed
-        // `base` (built once per served list when seeded), cache and
-        // AIA-fetched certificates join the per-engine `extra` overflow.
-        // The search iterates base-then-extra, which reproduces the old
-        // single-Vec append order exactly.
-        let owned_seed;
-        let (base, base_seen): (&[Candidate], &FingerprintSet) = match seed {
-            Some((s, _)) => (&s.pool, &s.seen),
-            None => {
-                owned_seed = PoolSeed::build(served, ctx);
-                (&owned_seed.pool, &owned_seed.seen)
-            }
-        };
+        // `base`, cache and AIA-fetched certificates join the per-engine
+        // `extra` overflow. The search iterates base-then-extra, which
+        // reproduces the old single-Vec append order exactly.
         let mut extra: Vec<Candidate> = Vec::new();
         let mut seen: Option<FingerprintSet> = None;
         if p.use_intermediate_cache {
-            let mut s = base_seen.clone();
-            match seed {
-                Some((_, cache_pool)) => {
-                    for cand in &cache_pool.entries {
-                        if s.insert(cand.cert.fingerprint()) {
-                            extra.push(cand.clone());
-                        }
-                    }
-                }
-                None => {
-                    for cert in ctx.cache {
-                        if s.insert(cert.fingerprint()) {
-                            extra.push(Candidate {
-                                trusted: ctx.store.contains(cert),
-                                cert: cert.clone(),
-                                origin: CandidateOrigin::Cache,
-                            });
-                        }
-                    }
+            let mut s = seed.seen.clone();
+            for cand in &cache_pool.entries {
+                if s.insert(cand.cert.fingerprint()) {
+                    extra.push(cand.clone());
                 }
             }
             seen = Some(s);
@@ -674,8 +646,8 @@ impl ChainEngine {
         let mut search = Search {
             engine: self,
             ctx,
-            base,
-            base_seen,
+            base: &seed.pool,
+            base_seen: &seed.seen,
             extra,
             seen,
             scratch,

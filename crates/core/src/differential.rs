@@ -238,7 +238,7 @@ impl<'a> DifferentialHarness<'a> {
             .clients
             .iter()
             .map(|(kind, engine)| {
-                (*kind, engine.process_with_seed(served, &ctx, &seed, &self.cache_pool, &scratch))
+                (*kind, engine.process_shared(served, &ctx, &seed, &self.cache_pool, &scratch))
             })
             .collect();
         let causes = attribute_causes(&outcomes);

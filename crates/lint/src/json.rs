@@ -7,25 +7,7 @@
 
 use std::fmt;
 
-/// Escape a string for inclusion inside JSON double quotes (the quotes
-/// themselves are not added).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use ccc_obs::render::escape;
 
 /// A parsed JSON value. Objects preserve key order (baselines are
 /// serialized deterministically, so round-trips are byte-stable).

@@ -74,8 +74,10 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
     out
 }
 
-/// JSON string escaping, byte-compatible with `ccc-lint`'s `json::escape`.
-fn escape(s: &str) -> String {
+/// Escape a string for inclusion inside JSON double quotes (the quotes
+/// themselves are not added). The one JSON string escaper in the
+/// workspace: `ccc-lint`'s JSONL/SARIF renderers call it too.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

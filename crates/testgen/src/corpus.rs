@@ -836,70 +836,10 @@ impl Corpus {
     /// Collect all observations.
     ///
     /// **Only for small corpora**: memory is O(corpus), unlike
-    /// [`for_each`](Self::for_each) (O(1)) and [`ObservationStore`]
-    /// (O(capacity)). Prefer those for anything that scales with
-    /// `spec.domains`.
+    /// [`for_each`](Self::for_each) (O(1)). Prefer that for anything that
+    /// scales with `spec.domains`.
     pub fn collect(&self) -> Vec<DomainObservation> {
         (0..self.spec.domains).map(|r| self.observation(r)).collect()
-    }
-}
-
-/// Bounded per-worker observation reuse buffer.
-///
-/// [`Corpus::observation`] regenerates from the per-rank DRBG fork on
-/// every call — repeating the certificate building, DER encoding, and
-/// fingerprinting each time. An `ObservationStore` memoizes the most
-/// recently generated observations in a fixed ring (slot = `rank %
-/// capacity`), so consumers that revisit nearby ranks (fused analysis
-/// passes, benchmark sweeps that loop over a window) pay the generation
-/// cost **once** per rank while memory stays **O(capacity)** — never
-/// O(corpus), whatever `spec.domains` is.
-///
-/// Each pipeline worker owns one store sized to (a bound on) its chunk,
-/// which is where the fused sweep's "generate each observation a single
-/// time" guarantee comes from.
-#[derive(Debug)]
-pub struct ObservationStore<'c> {
-    corpus: &'c Corpus,
-    slots: Vec<Option<DomainObservation>>,
-    hits: usize,
-    misses: usize,
-}
-
-impl<'c> ObservationStore<'c> {
-    /// A store over `corpus` holding at most `capacity` observations
-    /// (`capacity == 0` is treated as 1).
-    pub fn new(corpus: &'c Corpus, capacity: usize) -> ObservationStore<'c> {
-        ObservationStore {
-            corpus,
-            slots: (0..capacity.max(1)).map(|_| None).collect(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Number of observations the store can hold.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The observation for `rank`, generated on first access and reused
-    /// from the ring until evicted by a colliding rank.
-    pub fn get(&mut self, rank: usize) -> &DomainObservation {
-        let slot = rank % self.slots.len();
-        match &self.slots[slot] {
-            Some(obs) if obs.rank == rank => self.hits += 1,
-            _ => {
-                self.misses += 1;
-                self.slots[slot] = Some(self.corpus.observation(rank));
-            }
-        }
-        self.slots[slot].as_ref().expect("slot populated above")
-    }
-
-    /// `(hits, misses)` — misses equal the number of generations paid.
-    pub fn stats(&self) -> (usize, usize) {
-        (self.hits, self.misses)
     }
 }
 
@@ -1033,44 +973,6 @@ mod tests {
         });
         let rate = absent as f64 / 1000.0;
         assert!((0.19..=0.31).contains(&rate), "rate {rate}");
-    }
-
-    #[test]
-    fn observation_store_reuses_within_capacity() {
-        let corpus = small_corpus();
-        let mut store = ObservationStore::new(&corpus, 8);
-        assert_eq!(store.capacity(), 8);
-        // First sweep over a window: all misses.
-        for rank in 0..8 {
-            let obs = store.get(rank);
-            assert_eq!(obs.rank, rank);
-        }
-        assert_eq!(store.stats(), (0, 8));
-        // Second sweep over the same window: all hits, observations match
-        // a fresh generation bit-for-bit.
-        for rank in 0..8 {
-            let fresh = corpus.observation(rank);
-            let cached = store.get(rank);
-            assert_eq!(cached.served, fresh.served, "rank {rank}");
-            assert_eq!(cached.planned, fresh.planned);
-        }
-        assert_eq!(store.stats(), (8, 8));
-        // A colliding rank evicts and regenerates correctly.
-        let obs = store.get(16); // slot 0
-        assert_eq!(obs.rank, 16);
-        assert_eq!(store.stats(), (8, 9));
-        assert_eq!(store.get(0).rank, 0); // regenerated after eviction
-        assert_eq!(store.stats(), (8, 10));
-    }
-
-    #[test]
-    fn observation_store_zero_capacity_degenerates_to_one() {
-        let corpus = small_corpus();
-        let mut store = ObservationStore::new(&corpus, 0);
-        assert_eq!(store.capacity(), 1);
-        assert_eq!(store.get(3).rank, 3);
-        assert_eq!(store.get(3).rank, 3);
-        assert_eq!(store.stats(), (1, 1));
     }
 
     #[test]
