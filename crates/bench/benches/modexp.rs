@@ -8,6 +8,10 @@
 //! (256-bit for `sim256`, 1536-bit group with ~1530-bit order for
 //! `rfc3526`). All three paths must produce identical residues — asserted
 //! here before timing so a broken optimization can't "win".
+//!
+//! `montgomery/mul_sim256` times one Montgomery multiplication modulo the
+//! 256-bit group prime: the 4-limb CIOS step every `g^k` and `y^(q−e)`
+//! above is built from.
 
 use ccc_bignum::{modpow_naive, FixedBaseTable, MontgomeryCtx, Uint};
 use ccc_crypto::{Drbg, Group};
@@ -92,5 +96,26 @@ fn bench_modexp(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_modexp);
+fn bench_mul(c: &mut Criterion) {
+    let group = Group::simulation_256();
+    let ctx = MontgomeryCtx::new(&group.p).expect("group prime is odd");
+    let mut values = exponents(group, 2).into_iter();
+    let (a, b) = (
+        values.next().expect("two values"),
+        values.next().expect("two values"),
+    );
+    let (am, bm) = (ctx.to_montgomery(&a), ctx.to_montgomery(&b));
+    assert_eq!(
+        ctx.from_montgomery(&ctx.mul(&am, &bm)),
+        a.mul_mod(&b, &group.p)
+    );
+
+    let mut grp = c.benchmark_group("montgomery");
+    grp.bench_function("mul_sim256", |bench| {
+        bench.iter(|| ctx.mul(std::hint::black_box(&am), std::hint::black_box(&bm)))
+    });
+    grp.finish();
+}
+
+criterion_group!(benches, bench_modexp, bench_mul);
 criterion_main!(benches);

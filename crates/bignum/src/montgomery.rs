@@ -6,7 +6,9 @@
 //! reduced with CIOS (coarsely integrated operand scanning) Montgomery
 //! multiplication — one fused multiply/reduce pass over the limbs — so the
 //! quadratic `div_rem` the naive path performs after every multiplication
-//! disappears entirely.
+//! disappears entirely. Every product in this module goes through one
+//! allocation-free CIOS body ([`cios`]); the 4-limb width of the 256-bit
+//! simulation group reaches it at a length the compiler can see.
 //!
 //! The context deliberately widens [`Uint`]'s 32-bit limbs to 64-bit ones
 //! at the conversion boundary: on 64-bit hosts one `u64×u64 → u128`
@@ -16,7 +18,7 @@
 //! On top of the context sit two exponentiation strategies:
 //!
 //! - [`MontgomeryCtx::modpow`]: 4-bit fixed-window exponentiation for
-//!   arbitrary bases (15 precomputed odd powers, then 4 squarings + at most
+//!   arbitrary bases (15 precomputed powers, then 4 squarings + at most
 //!   one multiplication per window);
 //! - [`FixedBaseTable`]: Brauer-style fixed-base windowing for bases that
 //!   are exponentiated millions of times (the group generator `g`): all
@@ -30,21 +32,89 @@
 
 use crate::uint::Uint;
 
-/// Exponentiation window width in bits (tables hold `2^W - 1` entries).
+/// Exponentiation window width in bits.
 const WINDOW: usize = 4;
 
-/// The digit table for one base: `base^d` for `d ∈ [1, 2^WINDOW)`, in
-/// Montgomery form (index `d - 1` holds `base^d`). The one builder behind
-/// both the windowed [`MontgomeryCtx::pow_mont`] table and each block row
-/// of a [`FixedBaseTable`].
-fn digit_powers(ctx: &MontgomeryCtx, base: &MontElem) -> Vec<MontElem> {
-    let mut powers = Vec::with_capacity((1 << WINDOW) - 1);
-    powers.push(base.clone());
-    for d in 1..(1 << WINDOW) - 1 {
-        let next = ctx.mul(&powers[d - 1], base);
-        powers.push(next);
+/// Entries in one digit table: `base^d` for `d ∈ [1, 2^WINDOW)`.
+const DIGITS: usize = (1 << WINDOW) - 1;
+
+/// The `w`-th `WINDOW`-bit digit of `exp` (digit 0 is least significant),
+/// read straight from its 32-bit limbs: `WINDOW` divides 32, so a digit
+/// never straddles two limbs.
+fn window_digit(exp: &Uint, w: usize) -> usize {
+    const PER_LIMB: usize = 32 / WINDOW;
+    exp.limbs()
+        .get(w / PER_LIMB)
+        .map_or(0, |&l| ((l >> (WINDOW * (w % PER_LIMB))) as usize) & DIGITS)
+}
+
+/// CIOS Montgomery multiplication over limb slices: `out = a·b·R⁻¹ mod n`.
+///
+/// `n`, `a`, `b` and `out` all hold `k` little-endian limbs, with `a, b <
+/// n`. One interleaved pass accumulates `a[i]·b` and the reduction term
+/// `m·n`, shifting one limb per outer step. `out` doubles as the working
+/// buffer and the two carry limbs live in registers, so nothing is
+/// allocated. Callers that pass fixed-length subslices let the compiler
+/// see `k` and unroll both inner loops.
+#[inline(always)]
+fn cios(n: &[u64], n0_inv: u64, a: &[u64], b: &[u64], out: &mut [u64]) {
+    let k = n.len();
+    let (a, b, out) = (&a[..k], &b[..k], &mut out[..k]);
+    out.fill(0);
+    // t = out + top·2^(64k); top_hi is the second carry limb.
+    let mut top = 0u64;
+    for &ai in a {
+        // t += ai * b
+        let mut carry: u128 = 0;
+        for (tj, &bj) in out.iter_mut().zip(b) {
+            let s = *tj as u128 + ai as u128 * bj as u128 + carry;
+            *tj = s as u64;
+            carry = s >> 64;
+        }
+        let s = top as u128 + carry;
+        top = s as u64;
+        let top_hi = (s >> 64) as u64;
+
+        // m chosen so t + m*n ≡ 0 (mod 2^64); add and shift right one limb.
+        let m = out[0].wrapping_mul(n0_inv);
+        let s = out[0] as u128 + m as u128 * n[0] as u128;
+        debug_assert_eq!(s as u64, 0);
+        let mut carry = s >> 64;
+        for j in 1..k {
+            let s = out[j] as u128 + m as u128 * n[j] as u128 + carry;
+            out[j - 1] = s as u64;
+            carry = s >> 64;
+        }
+        let s = top as u128 + carry;
+        out[k - 1] = s as u64;
+        // Cannot overflow u64: t < 2n·2^(64k) throughout.
+        top = top_hi + (s >> 64) as u64;
     }
-    powers
+    // t < 2n; one conditional subtraction normalizes. When top is set the
+    // subtraction borrows out of the top limb exactly once.
+    if top != 0 || !limbs_lt(out, n) {
+        let mut borrow = false;
+        for (o, &nj) in out.iter_mut().zip(n) {
+            let (d1, b1) = o.overflowing_sub(nj);
+            let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+            *o = d2;
+            borrow = b1 || b2;
+        }
+        debug_assert_eq!(u64::from(borrow), top);
+    }
+}
+
+/// Fill `out` (`DIGITS · k` limbs) with the digit table for one base:
+/// entry `d - 1` holds `base^d` in Montgomery form. The one builder behind
+/// both the windowed [`MontgomeryCtx::pow_mont`] table and each window row
+/// of a [`FixedBaseTable`].
+fn digit_powers(ctx: &MontgomeryCtx, base: &[u64], out: &mut [u64]) {
+    let k = base.len();
+    out[..k].copy_from_slice(base);
+    for d in 1..DIGITS {
+        let (done, rest) = out.split_at_mut(d * k);
+        ctx.mul_into(&done[(d - 1) * k..], base, &mut rest[..k]);
+    }
 }
 
 /// A residue in Montgomery form with respect to some [`MontgomeryCtx`].
@@ -158,58 +228,39 @@ impl MontgomeryCtx {
     pub fn from_montgomery(&self, a: &MontElem) -> Uint {
         let mut one = vec![0u64; self.limbs()];
         one[0] = 1;
-        let redc = self.mul(a, &MontElem { limbs: one });
-        limbs64_to_uint(&redc.limbs)
+        let mut out = vec![0u64; self.limbs()];
+        self.mul_into(&a.limbs, &one, &mut out);
+        limbs64_to_uint(&out)
     }
 
-    /// CIOS Montgomery multiplication: returns `a·b·R⁻¹ mod n`.
+    /// `out = a·b·R⁻¹ mod n` over raw limbs: the one multiplication every
+    /// operation in this module goes through.
+    ///
+    /// A 4-limb modulus (the 256-bit simulation group) reaches the same
+    /// [`cios`] body through `[..4]` subslices, so the compiler specializes
+    /// it for a width it can see; every other width runs it as is.
+    #[inline]
+    fn mul_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        if self.n_limbs.len() == 4 {
+            cios(
+                &self.n_limbs[..4],
+                self.n0_inv,
+                &a[..4],
+                &b[..4],
+                &mut out[..4],
+            );
+        } else {
+            cios(&self.n_limbs, self.n0_inv, a, b, out);
+        }
+    }
+
+    /// Montgomery multiplication: returns `a·b·R⁻¹ mod n`.
     ///
     /// Both inputs must belong to this context (limb count `k`); the result
-    /// does too. One interleaved pass accumulates `a[i]·b` and the
-    /// reduction term `m·n`, shifting one limb per outer step, so the
-    /// working buffer never exceeds `k + 2` limbs.
+    /// does too. The only allocation is the result's limb vector.
     pub fn mul(&self, a: &MontElem, b: &MontElem) -> MontElem {
-        let k = self.limbs();
-        debug_assert_eq!(a.limbs.len(), k);
-        debug_assert_eq!(b.limbs.len(), k);
-        let n = &self.n_limbs;
-        // t holds k+2 limbs: k accumulated limbs plus two carry limbs.
-        let mut t = vec![0u64; k + 2];
-        for &ai in &a.limbs {
-            // t += ai * b
-            let mut carry: u128 = 0;
-            for (tj, &bj) in t[..k].iter_mut().zip(&b.limbs) {
-                let s = *tj as u128 + ai as u128 * bj as u128 + carry;
-                *tj = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[k] as u128 + carry;
-            t[k] = s as u64;
-            t[k + 1] = (s >> 64) as u64;
-
-            // m chosen so t + m*n ≡ 0 (mod 2^64); add and shift right one limb.
-            let m = t[0].wrapping_mul(self.n0_inv);
-            let s = t[0] as u128 + m as u128 * n[0] as u128;
-            debug_assert_eq!(s as u64, 0);
-            let mut carry = s >> 64;
-            for j in 1..k {
-                let s = t[j] as u128 + m as u128 * n[j] as u128 + carry;
-                t[j - 1] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[k] as u128 + carry;
-            t[k - 1] = s as u64;
-            // The final carry cannot overflow u64: t < 2n·2^(64k) throughout.
-            t[k] = t[k + 1] + (s >> 64) as u64;
-            t[k + 1] = 0;
-        }
-        // Result is t[..=k] < 2n; one conditional subtraction normalizes.
-        let mut out = t;
-        out.truncate(k + 1);
-        if out[k] != 0 || !limbs_lt(&out[..k], n) {
-            limbs_sub_in_place(&mut out, n);
-        }
-        out.truncate(k);
+        let mut out = vec![0u64; self.limbs()];
+        self.mul_into(&a.limbs, &b.limbs, &mut out);
         MontElem { limbs: out }
     }
 
@@ -225,34 +276,34 @@ impl MontgomeryCtx {
     }
 
     /// 4-bit fixed-window exponentiation over Montgomery residues.
+    ///
+    /// After the digit table is built, the whole ladder runs over two
+    /// reused limb buffers.
     pub fn pow_mont(&self, base: &MontElem, exp: &Uint) -> MontElem {
         let bits = exp.bit_len();
         if bits == 0 {
             return self.one();
         }
-        // table[d-1] = base^d for d in 1..16.
-        let table = digit_powers(self, base);
+        let k = self.limbs();
+        let mut table = vec![0u64; DIGITS * k];
+        digit_powers(self, &base.limbs, &mut table);
+        let entry = |d: usize| &table[(d - 1) * k..d * k];
+        // The top window holds the top set bit, so its digit is non-zero.
         let windows = bits.div_ceil(WINDOW);
-        let mut result: Option<MontElem> = None;
-        for w in (0..windows).rev() {
-            if let Some(r) = result.as_mut() {
-                for _ in 0..WINDOW {
-                    *r = self.square(r);
-                }
+        let mut acc = entry(window_digit(exp, windows - 1)).to_vec();
+        let mut tmp = vec![0u64; k];
+        for w in (0..windows - 1).rev() {
+            for _ in 0..WINDOW {
+                self.mul_into(&acc, &acc, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
             }
-            let mut digit = 0usize;
-            for bit in (0..WINDOW).rev() {
-                let idx = w * WINDOW + bit;
-                digit = (digit << 1) | usize::from(exp.bit(idx));
-            }
+            let digit = window_digit(exp, w);
             if digit != 0 {
-                result = Some(match result {
-                    Some(r) => self.mul(&r, &table[digit - 1]),
-                    None => table[digit - 1].clone(),
-                });
+                self.mul_into(&acc, entry(digit), &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
             }
         }
-        result.unwrap_or_else(|| self.one())
+        MontElem { limbs: acc }
     }
 }
 
@@ -267,32 +318,21 @@ fn limbs_lt(a: &[u64], b: &[u64]) -> bool {
     false
 }
 
-/// `a -= b` in place (`a` may be one limb longer than `b`; no underflow).
-fn limbs_sub_in_place(a: &mut [u64], b: &[u64]) {
-    let mut borrow = false;
-    for i in 0..a.len() {
-        let bi = if i < b.len() { b[i] } else { 0 };
-        let (d1, o1) = a[i].overflowing_sub(bi);
-        let (d2, o2) = d1.overflowing_sub(borrow as u64);
-        a[i] = d2;
-        borrow = o1 || o2;
-    }
-    debug_assert!(!borrow);
-}
-
 /// Precomputed powers of one base for Brauer fixed-base windowing.
 ///
-/// `table[i][d-1] = base^(d · 2^(WINDOW·i))` in Montgomery form, for window
-/// index `i` up to `max_exp_bits` and digit `d ∈ [1, 2^WINDOW)`. Evaluating
-/// `base^e` is then a product of one table entry per non-zero 4-bit digit
-/// of `e` — about `bits/4` Montgomery multiplications and zero squarings.
+/// Entry `(i, d)` is `base^(d · 2^(WINDOW·i))` in Montgomery form, for
+/// window index `i` up to `max_exp_bits` and digit `d ∈ [1, 2^WINDOW)`.
+/// Evaluating `base^e` is then a product of one table entry per non-zero
+/// 4-bit digit of `e` — about `bits/4` Montgomery multiplications and zero
+/// squarings.
 ///
-/// Memory cost: `⌈bits/4⌉ · 15` residues (≈30 KiB for a 256-bit modulus,
-/// ≈1.1 MiB for 1536 bits) — paid once per process via the `OnceLock` on
-/// the owning group.
+/// The entries live in one flat limb vector, window-major: entry `(i, d)`
+/// starts at limb `(i·15 + d − 1)·k`. Memory cost is `⌈bits/4⌉ · 15 · k`
+/// limbs — 30 KiB for the 256-bit group, ≈1.1 MiB for 1536 bits — paid once
+/// per process via the `OnceLock` on the owning group.
 #[derive(Clone, Debug)]
 pub struct FixedBaseTable {
-    table: Vec<Vec<MontElem>>,
+    limbs: Vec<u64>,
     max_bits: usize,
 }
 
@@ -311,19 +351,20 @@ impl FixedBaseTable {
     /// repeatedly (e.g. a CA public key `y` verified against for many
     /// certificates). `new` is the normal-form convenience wrapper.
     pub fn from_mont(ctx: &MontgomeryCtx, base: &MontElem, max_exp_bits: usize) -> FixedBaseTable {
+        let k = ctx.limbs();
         let windows = max_exp_bits.div_ceil(WINDOW).max(1);
-        let mut block_base = base.clone();
-        let mut table = Vec::with_capacity(windows);
-        for w in 0..windows {
-            let row = digit_powers(ctx, &block_base);
+        let mut limbs = vec![0u64; windows * DIGITS * k];
+        let mut block_base = base.limbs.clone();
+        for (w, row) in limbs.chunks_exact_mut(DIGITS * k).enumerate() {
+            digit_powers(ctx, &block_base, row);
             if w + 1 < windows {
                 // base for the next block: this block's base^(2^WINDOW).
-                block_base = ctx.square(&row[(1 << (WINDOW - 1)) - 1]);
+                let half = &row[((1 << (WINDOW - 1)) - 1) * k..][..k];
+                ctx.mul_into(half, half, &mut block_base);
             }
-            table.push(row);
         }
         FixedBaseTable {
-            table,
+            limbs,
             max_bits: windows * WINDOW,
         }
     }
@@ -333,29 +374,39 @@ impl FixedBaseTable {
         self.max_bits
     }
 
-    /// `base^exp` in Montgomery form.
+    /// `base^exp` in Montgomery form, over two reused limb buffers.
     ///
     /// Exponents wider than the table fall back to windowed square-and-
-    /// multiply on the stored base (`table[0][0]`), so the result is always
-    /// correct.
+    /// multiply on the stored base (entry `(0, 1)`), so the result is
+    /// always correct.
     pub fn pow_mont(&self, ctx: &MontgomeryCtx, exp: &Uint) -> MontElem {
-        if exp.bit_len() > self.max_bits {
-            return ctx.pow_mont(&self.table[0][0], exp);
+        let k = ctx.limbs();
+        let bits = exp.bit_len();
+        if bits > self.max_bits {
+            let base = MontElem {
+                limbs: self.limbs[..k].to_vec(),
+            };
+            return ctx.pow_mont(&base, exp);
         }
-        let mut result: Option<MontElem> = None;
-        for (w, row) in self.table.iter().enumerate() {
-            let mut digit = 0usize;
-            for bit in (0..WINDOW).rev() {
-                digit = (digit << 1) | usize::from(exp.bit(w * WINDOW + bit));
+        let mut acc = ctx.one.limbs.clone();
+        let mut tmp = vec![0u64; k];
+        let mut started = false;
+        let rows = self.limbs.chunks_exact(DIGITS * k);
+        for (w, row) in rows.take(bits.div_ceil(WINDOW)).enumerate() {
+            let digit = window_digit(exp, w);
+            if digit == 0 {
+                continue;
             }
-            if digit != 0 {
-                result = Some(match result {
-                    Some(r) => ctx.mul(&r, &row[digit - 1]),
-                    None => row[digit - 1].clone(),
-                });
+            let entry = &row[(digit - 1) * k..digit * k];
+            if started {
+                ctx.mul_into(&acc, entry, &mut tmp);
+                std::mem::swap(&mut acc, &mut tmp);
+            } else {
+                acc.copy_from_slice(entry);
+                started = true;
             }
         }
-        result.unwrap_or_else(|| ctx.one())
+        MontElem { limbs: acc }
     }
 
     /// `base^exp mod n` in normal form.
@@ -461,17 +512,30 @@ mod tests {
         // The shared row builder: entry d-1 is base^d, for every digit.
         let n = u("edb9229e9df73cb4f4a416fb005f7dae9ccae82ad2ba6b58e7e1c47ebc596f0b");
         let ctx = MontgomeryCtx::new(&n).unwrap();
+        let k = ctx.limbs();
         let base = ctx.to_montgomery(&u("1eadbeef1eadbeef1eadbeef1eadbeef"));
-        let powers = digit_powers(&ctx, &base);
-        assert_eq!(powers.len(), (1 << WINDOW) - 1);
+        let mut powers = vec![0u64; DIGITS * k];
+        digit_powers(&ctx, &base.limbs, &mut powers);
         let mut acc = base.clone();
-        for p in &powers {
-            assert_eq!(p, &acc);
+        for p in powers.chunks_exact(k) {
+            assert_eq!(p, &acc.limbs[..]);
             acc = ctx.mul(&acc, &base);
         }
         // The first Brauer row is exactly this digit table.
         let table = FixedBaseTable::from_mont(&ctx, &base, 256);
-        assert_eq!(table.table[0], powers);
+        assert_eq!(table.limbs[..DIGITS * k], powers[..]);
+    }
+
+    #[test]
+    fn sim256_generator_table_is_one_flat_vector() {
+        // The simulation group's g = 4 table: 64 windows of 15 digits of 4
+        // limbs, 30 KiB in a single allocation (the figure DESIGN quotes).
+        let p = u("edb9229e9df73cb4f4a416fb005f7dae9ccae82ad2ba6b58e7e1c47ebc596f0b");
+        let q = u("76dc914f4efb9e5a7a520b7d802fbed74e657415695d35ac73f0e23f5e2cb785");
+        let ctx = MontgomeryCtx::new(&p).unwrap();
+        let table = FixedBaseTable::new(&ctx, &Uint::from_u64(4), q.bit_len());
+        assert_eq!(table.limbs.len(), 64 * 15 * 4);
+        assert_eq!(table.limbs.len() * 8, 30 * 1024);
     }
 
     #[test]

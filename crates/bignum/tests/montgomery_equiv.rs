@@ -3,8 +3,9 @@
 //! Every result the optimized arithmetic produces must be bit-identical to
 //! `modpow_naive` / full-width `mul` + `div_rem`, across random multi-limb
 //! operands, `R`-boundary values (operands straddling the Montgomery radix
-//! `R = 2^(64k)`), single-limb moduli (the `mul_mod` fast path), and the
-//! even-modulus rejection rule.
+//! `R = 2^(64k)`), single-limb moduli (the `mul_mod` fast path), the
+//! 4-limb width the 256-bit simulation group runs at, and the even-modulus
+//! rejection rule.
 
 use ccc_bignum::{modpow, modpow_naive, FixedBaseTable, MontgomeryCtx, Uint};
 use proptest::prelude::*;
@@ -128,6 +129,47 @@ proptest! {
     }
 }
 
+/// Force a byte-vector modulus odd with a non-zero top byte, so its width
+/// is exactly `bytes.len()` bytes.
+fn odd_modulus_full_width(bytes: &[u8]) -> Uint {
+    let mut m = bytes.to_vec();
+    m[0] |= 0x80;
+    *m.last_mut().expect("m is non-empty") |= 1;
+    uint(&m)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn four_limb_width_equals_naive(
+        a in proptest::collection::vec(any::<u8>(), 0..40),
+        b in proptest::collection::vec(any::<u8>(), 0..40),
+        exp in proptest::collection::vec(any::<u8>(), 0..33),
+        modulus in proptest::collection::vec(any::<u8>(), 25..33),
+    ) {
+        // 25–32-byte moduli are exactly 4 limbs wide: the specialized width
+        // every simulation-group multiplication runs at.
+        let modulus = odd_modulus_full_width(&modulus);
+        let ctx = MontgomeryCtx::new(&modulus).unwrap();
+        prop_assert_eq!(ctx.limbs(), 4);
+        let a = uint(&a);
+        let b = uint(&b);
+        let exp = uint(&exp);
+        let am = ctx.to_montgomery(&a);
+        let bm = ctx.to_montgomery(&b);
+        prop_assert_eq!(
+            ctx.from_montgomery(&ctx.mul(&am, &bm)),
+            a.mul_mod(&b, &modulus)
+        );
+        let reference = modpow_naive(&a, &exp, &modulus).unwrap();
+        prop_assert_eq!(ctx.modpow(&a, &exp), reference.clone());
+        // 256 bits covers every drawn exponent: the table path, no fallback.
+        let table = FixedBaseTable::new(&ctx, &a, 256);
+        prop_assert_eq!(table.pow(&ctx, &exp), reference);
+    }
+}
+
 #[test]
 fn r_boundary_values() {
     // Operands and results sitting exactly at the Montgomery radix
@@ -142,6 +184,10 @@ fn r_boundary_values() {
         Uint::from_hex("ffffffffffffffffffffffef").unwrap(),
         // k = 3 with all-ones limbs: 2^192 - 237.
         Uint::from_hex("ffffffffffffffffffffffffffffffffffffffffffffff13").unwrap(),
+        // k = 4 with all-ones limbs: 2^256 - 189.
+        Uint::from_hex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff43").unwrap(),
+        // k = 4: the 256-bit simulation group's p.
+        Uint::from_hex("edb9229e9df73cb4f4a416fb005f7dae9ccae82ad2ba6b58e7e1c47ebc596f0b").unwrap(),
     ] {
         assert!(modulus.is_odd(), "{modulus:?}");
         let ctx = MontgomeryCtx::new(&modulus).unwrap();
