@@ -22,10 +22,10 @@
 //! summaries merge associatively).
 //!
 //! Verification: before the passes visit an observation, the pipeline
-//! worker verifies its not-yet-cached issuance pairs into the shared
-//! signature cache (`IssuanceChecker::prefetch_served`), so the passes'
-//! lookups are hits. Every check runs the one `PublicKey::verify` route
-//! (DESIGN.md §14).
+//! worker builds its issuance graph (`ObservationMemo::graph`), which
+//! verifies every identity-matched pair into the shared signature cache,
+//! so the passes' lookups are hits. Every check runs the one
+//! `PublicKey::verify` route (DESIGN.md §14).
 
 use ccc_core::{Completeness, DifferentialReport, DiscrepancyCause, LeafPlacement};
 use ccc_rootstore::RootProgram;

@@ -75,11 +75,11 @@ pub struct PassContext<'c> {
 /// The three corpus analyses all start from the same two derived values —
 /// the issuance [`TopologyGraph`] over the served list and the aggregate
 /// [`ComplianceReport`] — so the pipeline hands every
-/// [`AnalysisPass::visit`] call a fresh memo and the *first* pass to need
-/// an artifact computes it for all of them. Equality is structural: every
-/// pass builds these with the same checker and the same unified-store
-/// analyzer configuration, so sharing is bit-identical to recomputing
-/// (the equivalence suite pins this).
+/// [`AnalysisPass::visit`] call a fresh memo with the graph already built,
+/// and the *first* pass to need the report computes it for all of them.
+/// Equality is structural: every pass builds these with the same checker
+/// and the same unified-store analyzer configuration, so sharing is
+/// bit-identical to recomputing (the equivalence suite pins this).
 ///
 /// Lives for exactly one observation; dropped before the next rank, so it
 /// never grows the pipeline's one-observation-per-worker memory bound.
@@ -444,12 +444,12 @@ fn run_chunk<'c, P: AnalysisPass<'c>>(
         let gen_start = Instant::now();
         let obs = ctx.corpus.observation(rank);
         let visit_start = Instant::now();
-        // Verify this observation's not-yet-cached issuance pairs into
-        // the shared cache before the passes sweep it, so their lookups
-        // are hits. Timed as analysis — it does the verifications the
-        // passes would otherwise do on their first lookups.
-        ctx.checker.prefetch_served(&obs.served);
+        // Build the issuance graph before the passes sweep the
+        // observation: it verifies every identity-matched pair into the
+        // shared cache, so the passes' lookups are hits. Timed as
+        // analysis, like the verifications it takes over from `visit`.
         let memo = ObservationMemo::default();
+        memo.graph(&obs, ctx.checker);
         worker.visit(&obs, &memo);
         generation += visit_start.duration_since(gen_start);
         analysis += visit_start.elapsed();
@@ -948,10 +948,6 @@ impl ChaosSummary {
 
     /// Fold another (worker) summary into this one.
     pub fn merge(&mut self, other: ChaosSummary) {
-        if self.scenarios.is_empty() {
-            *self = other;
-            return;
-        }
         assert_eq!(self.scenarios.len(), other.scenarios.len());
         self.total += other.total;
         for (mine, theirs) in self.scenarios.iter_mut().zip(other.scenarios) {
@@ -1180,6 +1176,53 @@ mod tests {
         lo.merge(empty);
         lo.merge(hi);
         assert_eq!(full.into_summary(), lo.into_summary());
+    }
+
+    /// Probe pass asserting that each observation's topology graph is
+    /// already memoized when `visit` runs: asking for it moves no
+    /// signature-cache counter.
+    #[derive(Default)]
+    struct GraphFirstProbe<'c> {
+        checker: Option<&'c IssuanceChecker>,
+        visited: usize,
+    }
+
+    impl<'c> AnalysisPass<'c> for GraphFirstProbe<'c> {
+        fn name(&self) -> &'static str {
+            "graph-first-probe"
+        }
+        fn begin(&self, ctx: PassContext<'c>) -> Self {
+            GraphFirstProbe {
+                checker: Some(ctx.checker),
+                visited: 0,
+            }
+        }
+        fn visit(&mut self, obs: &DomainObservation, memo: &ObservationMemo) {
+            let checker = self.checker.expect("forked worker");
+            let before = checker.snapshot_stats();
+            memo.graph(obs, checker);
+            assert_eq!(
+                checker.snapshot_stats().lookups,
+                before.lookups,
+                "rank {}: the graph was built inside visit",
+                obs.rank
+            );
+            self.visited += 1;
+        }
+        fn merge(&mut self, other: Self) {
+            self.visited += other.visited;
+        }
+    }
+
+    #[test]
+    fn graph_is_built_before_visit() {
+        // Verification stays out of `visit` (and so out of per-domain
+        // visit latency): the worker builds the graph first.
+        let corpus = scan_corpus(60);
+        let checker = IssuanceChecker::new();
+        let (probe, stats) = Pipeline::new(1).run(&corpus, &checker, GraphFirstProbe::default());
+        assert_eq!(probe.visited, 60);
+        assert!(stats.cache.verifications > 0, "the sweep verified nothing");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! Each [`Table`] names the one input it reads — nothing (it probes its
 //! own fixtures), the structural-compliance summary, the differential
-//! summary, or the non-compliant corpus subset the capability ablation
-//! re-builds. [`run`] builds the scan corpus only when a selected table
+//! summary, or the capability-ablation totals over the non-compliant
+//! chains. [`run`] builds the scan corpus only when a selected table
 //! needs it, sweeps it with **one** [`Pipeline::run`] over exactly the
 //! passes the selection needs, and renders the tables in the order given.
 //! Each table's text is identical for every `CCC_THREADS` value;
@@ -37,7 +37,7 @@ use ccc_netsim::httpserver::{FileLayout, HttpServerKind};
 use ccc_rootstore::{CaUniverse, RootProgram};
 use ccc_testgen::corpus::scan_time;
 use ccc_testgen::scenarios::ScenarioSet;
-use ccc_testgen::{CapabilityRow, CapabilitySuite, Corpus, DomainObservation};
+use ccc_testgen::{CapabilityRow, CapabilitySuite, DomainObservation};
 use ccc_x509::Certificate;
 use std::fmt::{self, Write as _};
 
@@ -51,8 +51,8 @@ enum Render {
     Compliance(fn(&CorpusSummary, &mut String) -> fmt::Result),
     /// Reads the differential summary.
     Differential(fn(&DifferentialSummary, &mut String) -> fmt::Result),
-    /// Re-builds the non-compliant subset of the corpus.
-    Subset(fn(&Corpus, &IssuanceChecker, &[Vec<Certificate>], &mut String) -> fmt::Result),
+    /// Reads the capability-ablation totals.
+    Ablation(fn(&AblationSummary, &mut String) -> fmt::Result),
 }
 
 /// One reproducible result of the paper.
@@ -88,7 +88,7 @@ pub static TABLES: [Table; 17] = [
     Table { name: "figure4", render: Render::Fixed(figure4) },
     Table { name: "figure5", render: Render::Fixed(figure5) },
     Table { name: "section52", render: Render::Differential(section52) },
-    Table { name: "ablation", render: Render::Subset(ablation) },
+    Table { name: "ablation", render: Render::Ablation(ablation) },
 ];
 
 /// Resolve table names in the order given; `all` expands to [`TABLES`].
@@ -127,19 +127,19 @@ pub fn run(
     let wants = |pass: fn(&Render) -> bool| tables.iter().any(|t| pass(&t.render));
     let checker = IssuanceChecker::new();
     let corpus = tables.iter().any(|t| t.needs_corpus()).then(|| scan_corpus(domains));
-    let ((compliance, differential, subset), stats) = match &corpus {
+    let ((compliance, differential, ablation), stats) = match &corpus {
         None => ((None, None, None), None),
         Some(corpus) => {
             let passes = (
                 wants(|r| matches!(r, Render::Compliance(_))).then(CompliancePass::new),
                 wants(|r| matches!(r, Render::Differential(_))).then(DifferentialPass::new),
-                wants(|r| matches!(r, Render::Subset(_))).then(NoncompliantSubset::new),
+                wants(|r| matches!(r, Render::Ablation(_))).then(AblationPass::new),
             );
-            let ((c, d, s), stats) = pipeline.run(corpus, &checker, passes);
+            let ((c, d, a), stats) = pipeline.run(corpus, &checker, passes);
             let summaries = (
                 c.map(CompliancePass::into_summary),
                 d.map(DifferentialPass::into_summary),
-                s.map(|s| s.chains),
+                a.map(|a| a.summary),
             );
             (summaries, Some(stats))
         }
@@ -150,60 +150,11 @@ pub fn run(
             Render::Fixed(f) => f(&mut out),
             Render::Compliance(f) => f(compliance.as_ref().expect("swept"), &mut out),
             Render::Differential(f) => f(differential.as_ref().expect("swept"), &mut out),
-            Render::Subset(f) => f(
-                corpus.as_ref().expect("built"),
-                &checker,
-                subset.as_deref().expect("swept"),
-                &mut out,
-            ),
+            Render::Ablation(f) => f(ablation.as_ref().expect("swept"), &mut out),
         }
         .expect("writing to a String cannot fail");
     }
     (out, stats)
-}
-
-/// Pipeline pass collecting the non-compliant corpus subset: the
-/// ablation only needs the served chains that fail compliance, so the
-/// sweep stays O(chunk) in observations and O(subset) in retained chains
-/// (not O(corpus)).
-#[derive(Debug)]
-struct NoncompliantSubset<'c> {
-    state: Option<(&'c IssuanceChecker, CompletenessAnalyzer<'c>)>,
-    chains: Vec<Vec<Certificate>>,
-}
-
-impl<'c> NoncompliantSubset<'c> {
-    fn new() -> NoncompliantSubset<'c> {
-        NoncompliantSubset { state: None, chains: Vec::new() }
-    }
-}
-
-impl<'c> AnalysisPass<'c> for NoncompliantSubset<'c> {
-    fn name(&self) -> &'static str {
-        "noncompliant-subset"
-    }
-
-    fn begin(&self, ctx: PassContext<'c>) -> Self {
-        let analyzer = CompletenessAnalyzer::new(
-            ctx.checker,
-            ctx.corpus.programs.unified(),
-            Some(&ctx.corpus.aia),
-        );
-        NoncompliantSubset { state: Some((ctx.checker, analyzer)), chains: Vec::new() }
-    }
-
-    fn visit(&mut self, obs: &DomainObservation, memo: &ObservationMemo) {
-        let (checker, analyzer) = self.state.as_ref().expect("forked worker");
-        let report = memo.report(obs, checker, analyzer);
-        if !report.is_compliant() {
-            self.chains.push(obs.served.clone());
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        // Rank-order merge keeps the subset in corpus order.
-        self.chains.extend(other.chains);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1121,48 +1072,122 @@ fn ablation_variants() -> Vec<(&'static str, BuilderPolicy)> {
     ]
 }
 
+/// One ablation variant's build totals over the non-compliant chains.
+#[derive(Debug, Default)]
+struct VariantTotals {
+    accepted: usize,
+    candidates: usize,
+    fetches: usize,
+    backtracks: usize,
+}
+
+/// The §6.2 ablation's totals: the non-compliant chains re-built, and
+/// per builder variant (in [`ablation_variants`] order) what those
+/// builds added up to.
+#[derive(Debug)]
+struct AblationSummary {
+    chains: usize,
+    variants: Vec<(&'static str, VariantTotals)>,
+}
+
+/// Pipeline pass running every ablation variant on each non-compliant
+/// chain as the sweep reaches it. Workers add up per-variant totals and
+/// `merge` sums them, so no chain outlives its observation.
+#[derive(Debug)]
+struct AblationPass<'c> {
+    state: Option<AblationState<'c>>,
+    summary: AblationSummary,
+}
+
+/// Worker-local analyzer, build context and one engine per variant.
+#[derive(Debug)]
+struct AblationState<'c> {
+    analyzer: CompletenessAnalyzer<'c>,
+    ctx: BuildContext<'c>,
+    engines: Vec<ChainEngine>,
+}
+
+impl<'c> AblationPass<'c> {
+    fn new() -> AblationPass<'c> {
+        let variants = ablation_variants()
+            .into_iter()
+            .map(|(name, _)| (name, VariantTotals::default()))
+            .collect();
+        AblationPass { state: None, summary: AblationSummary { chains: 0, variants } }
+    }
+}
+
+impl<'c> AnalysisPass<'c> for AblationPass<'c> {
+    fn name(&self) -> &'static str {
+        "ablation"
+    }
+
+    fn begin(&self, ctx: PassContext<'c>) -> Self {
+        let corpus = ctx.corpus;
+        let state = AblationState {
+            analyzer: CompletenessAnalyzer::new(
+                ctx.checker,
+                corpus.programs.unified(),
+                Some(&corpus.aia),
+            ),
+            ctx: BuildContext {
+                store: corpus.programs.unified(),
+                aia: Some(&corpus.aia),
+                cache: &[],
+                now: scan_time(),
+                checker: ctx.checker,
+            },
+            engines: ablation_variants()
+                .into_iter()
+                .map(|(_, policy)| ChainEngine::new(policy))
+                .collect(),
+        };
+        AblationPass { state: Some(state), ..AblationPass::new() }
+    }
+
+    fn visit(&mut self, obs: &DomainObservation, memo: &ObservationMemo) {
+        let st = self.state.as_ref().expect("forked worker");
+        if memo.report(obs, st.ctx.checker, &st.analyzer).is_compliant() {
+            return;
+        }
+        self.summary.chains += 1;
+        for (engine, (_, totals)) in st.engines.iter().zip(&mut self.summary.variants) {
+            let outcome = engine.process(&obs.served, &st.ctx);
+            totals.accepted += usize::from(outcome.accepted());
+            totals.candidates += outcome.stats.candidates_considered;
+            totals.fetches += outcome.stats.aia_fetches;
+            totals.backtracks += outcome.stats.backtracks;
+        }
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.summary.chains += other.summary.chains;
+        let theirs = other.summary.variants.into_iter().map(|(_, t)| t);
+        for ((_, mine), theirs) in self.summary.variants.iter_mut().zip(theirs) {
+            mine.accepted += theirs.accepted;
+            mine.candidates += theirs.candidates;
+            mine.fetches += theirs.fetches;
+            mine.backtracks += theirs.backtracks;
+        }
+    }
+}
+
 /// §6.2 ablation: starting from a fully capable client, knock out one
 /// capability at a time and measure the acceptance rate (and work done)
-/// over the non-compliant corpus subset.
-fn ablation(
-    corpus: &Corpus,
-    checker: &IssuanceChecker,
-    subset: &[Vec<Certificate>],
-    out: &mut String,
-) -> fmt::Result {
-    let ctx = BuildContext {
-        store: corpus.programs.unified(),
-        aia: Some(&corpus.aia),
-        cache: &[],
-        now: scan_time(),
-        checker,
-    };
+/// over the non-compliant chains.
+fn ablation(s: &AblationSummary, out: &mut String) -> fmt::Result {
     let mut table = TextTable::new(
         "Capability ablation over non-compliant chains",
         &["Variant", "Accepted", "Avg candidates", "Avg AIA fetches", "Avg backtracks"],
     );
-    for (name, policy) in ablation_variants() {
-        let engine = ChainEngine::new(policy);
-        let mut accepted = 0usize;
-        let mut candidates = 0usize;
-        let mut fetches = 0usize;
-        let mut backtracks = 0usize;
-        for served in subset {
-            let outcome = engine.process(served, &ctx);
-            if outcome.accepted() {
-                accepted += 1;
-            }
-            candidates += outcome.stats.candidates_considered;
-            fetches += outcome.stats.aia_fetches;
-            backtracks += outcome.stats.backtracks;
-        }
-        let n = subset.len().max(1);
+    let n = s.chains.max(1) as f64;
+    for (name, t) in &s.variants {
         table.row(&[
             name.to_string(),
-            count_pct(accepted, subset.len()),
-            format!("{:.2}", candidates as f64 / n as f64),
-            format!("{:.3}", fetches as f64 / n as f64),
-            format!("{:.3}", backtracks as f64 / n as f64),
+            count_pct(t.accepted, s.chains),
+            format!("{:.2}", t.candidates as f64 / n),
+            format!("{:.3}", t.fetches as f64 / n),
+            format!("{:.3}", t.backtracks as f64 / n),
         ]);
     }
     writeln!(out, "{}", table.render())?;

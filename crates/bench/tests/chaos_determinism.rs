@@ -45,6 +45,18 @@ fn chaos_summary_is_thread_invariant() {
 }
 
 #[test]
+fn scenario_free_sweep_counts_every_worker() {
+    // Regression: with no scenarios the root and worker summaries both
+    // have empty scenario lists, and merging used to replace the root's
+    // total with the last worker's instead of adding them.
+    let corpus = scan_corpus(300);
+    let checker = IssuanceChecker::new();
+    let (pass, stats) = Pipeline::new(2).run(&corpus, &checker, FaultPass::new(vec![]));
+    assert_eq!(stats.threads, 2);
+    assert_eq!(pass.into_summary().total, 300);
+}
+
+#[test]
 fn zero_fault_scenario_matches_plain_sequential_builds() {
     let corpus = scan_corpus(120);
     let summary = chaos(&corpus, vec![FaultScenario::for_corpus(&corpus, 0.0)], 1);

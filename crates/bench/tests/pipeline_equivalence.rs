@@ -5,7 +5,7 @@
 //!    to running each pass alone in its own `Pipeline::run` with a fresh
 //!    checker, for every worker count. The lint side is additionally
 //!    pinned to `LintSummary::compute_range`, the sequential reference
-//!    that builds its own topology with no memo and no prefetch.
+//!    that builds its own topology with no memo.
 //! 2. The guarantee holds on both sides of the 256-domain parallelism
 //!    threshold and is seed-independent (property test).
 //!

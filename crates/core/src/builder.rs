@@ -19,7 +19,7 @@
 //! - **backtracking** — whether a dead end (untrusted root, invalid
 //!   candidate) rolls back to try an alternative path (I-3).
 
-use crate::topology::{CacheStats, IssuanceChecker};
+use crate::topology::IssuanceChecker;
 use crate::validate::{validate_path, ValidationOptions};
 use ccc_asn1::Time;
 use ccc_mc::OnceLock;
@@ -297,12 +297,6 @@ pub struct BuildStats {
     pub aia_budget_exhausted: bool,
     /// Dead ends rolled back.
     pub backtracks: usize,
-    /// Shared signature-cache activity during this build (counter delta
-    /// from the context's [`IssuanceChecker`]; `entries` is not tracked
-    /// per build and stays 0). When the checker is shared across threads
-    /// the delta can include concurrent builds' lookups, so treat it as
-    /// attribution only for single-threaded use.
-    pub cache: CacheStats,
 }
 
 /// `ccc-obs` registry handles for the builder counters, registered once
@@ -588,10 +582,8 @@ impl ChainEngine {
         scratch: &RunScratch,
     ) -> BuildOutcome {
         let mut stats = BuildStats::default();
-        let cache_before = ctx.checker.counters();
         let (path, verdict) =
             self.process_inner(served, ctx, &mut stats, seed, cache_pool, scratch);
-        stats.cache = ctx.checker.counters().since(&cache_before);
         record_build_metrics(&stats, verdict.is_ok());
         BuildOutcome {
             path,
@@ -600,8 +592,8 @@ impl ChainEngine {
         }
     }
 
-    /// [`process_shared`](Self::process_shared) body; the caller wraps it
-    /// with the signature-cache counter delta.
+    /// [`process_shared`](Self::process_shared) body; the caller records
+    /// the build metrics once it returns.
     fn process_inner(
         &self,
         served: &[Certificate],
@@ -1363,21 +1355,25 @@ mod tests {
     }
 
     #[test]
-    fn build_stats_expose_cache_delta() {
+    fn second_build_is_served_from_the_signature_cache() {
         let p = pki();
         let checker = IssuanceChecker::new();
         let engine = ChainEngine::new(BuilderPolicy::full_capability("t"));
         let served = vec![p.leaf.clone(), p.int.clone()];
+        let before = checker.snapshot_stats();
         let first = engine.process(&served, &ctx(&p, &checker));
+        let after_first = checker.snapshot_stats();
         assert!(first.accepted());
-        assert!(first.stats.cache.lookups > 0);
-        assert!(first.stats.cache.verifications > 0);
+        let delta = after_first.since(&before);
+        assert!(delta.lookups > 0);
+        assert!(delta.verifications > 0);
         // Second build over the same chain: all lookups hit the cache.
         let second = engine.process(&served, &ctx(&p, &checker));
         assert!(second.accepted());
-        assert_eq!(second.stats.cache.verifications, 0);
-        assert_eq!(second.stats.cache.hits, second.stats.cache.lookups);
-        assert!(second.stats.cache.lookups > 0);
+        let delta = checker.snapshot_stats().since(&after_first);
+        assert_eq!(delta.verifications, 0);
+        assert_eq!(delta.hits, delta.lookups);
+        assert!(delta.lookups > 0);
     }
 
     #[test]

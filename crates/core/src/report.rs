@@ -121,8 +121,8 @@ pub fn check(b: bool) -> &'static str {
 /// signature cache: 1,024 lookups, 960 hits (93.8%), 64 verified, 960 verifications saved
 /// ```
 ///
-/// Used by the table/figure binaries and the CLI `matrix` command to show
-/// how much work the shared sharded cache avoided.
+/// Used by the pipeline's phase report and the CLI `matrix` command to
+/// show how much work the shared sharded cache avoided.
 pub fn render_cache_stats(stats: &crate::topology::CacheStats) -> String {
     let mut line = format!(
         "signature cache: {} lookups, {} hits ({:.1}%), {} verified, {} verifications saved",

@@ -186,11 +186,6 @@ impl IssuanceChecker {
         }
     }
 
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Identity-level match: subject/issuer DN equality, or SKID/AKID
     /// equality when both sides carry the fields.
     pub fn identity_match(issuer: &Certificate, subject: &Certificate) -> bool {
@@ -272,112 +267,6 @@ impl IssuanceChecker {
         Self::identity_match(issuer, subject) && self.signature_verifies(issuer, subject)
     }
 
-    /// Warm the cache for one served list before the analysis passes
-    /// sweep it: enumerate the identity-matched certificate pairs the
-    /// topology build will query and verify every not-yet-cached pair,
-    /// so the passes' lookups on this list are all hits.
-    ///
-    /// Accounting: prefetch behaves as an **eager lookup** per pair it
-    /// claims — the slot install counts one lookup (and therefore one
-    /// derived miss), and the verification runs through the same
-    /// computed-flag `get_or_init` as [`signature_verifies`]
-    /// (`IssuanceChecker::signature_verifies`), counting one verification
-    /// if prefetch's init wins or one coalesced wait if a racing analysis
-    /// thread's init won. Pairs already completed or in flight move **no**
-    /// counters here (their owner accounts for them), so the
-    /// [`CacheStats`] invariants hold exactly under every interleaving,
-    /// and `verifications` still equals unique pairs.
-    pub fn prefetch_served(&self, served: &[Certificate]) {
-        if served.len() < 2 {
-            return;
-        }
-        // Unique certificates in first-appearance order, exactly as the
-        // topology build dedups them.
-        let mut unique: Vec<&Certificate> = Vec::new();
-        let mut seen: FingerprintMap<()> = FingerprintMap::default();
-        for cert in served {
-            if seen.insert(cert.fingerprint(), ()).is_none() {
-                unique.push(cert);
-            }
-        }
-        // Index prospective issuers by subject DN and SKID so pair
-        // discovery costs O(certs + matches) instead of the all-pairs
-        // DN comparisons that would otherwise dominate small
-        // observations (the analyses walk structured chains and never
-        // pay that quadratic scan; the prefetch must not either).
-        let mut by_subject_dn: HashMap<&ccc_x509::DistinguishedName, Vec<usize>> = HashMap::new();
-        let mut by_skid: HashMap<&[u8], Vec<usize>> = HashMap::new();
-        for (i, cert) in unique.iter().enumerate() {
-            by_subject_dn.entry(cert.subject()).or_default().push(i);
-            if let Some(skid) = cert.skid() {
-                by_skid.entry(skid).or_default().push(i);
-            }
-        }
-        // Claim a fresh slot for every identity-matched ordered pair
-        // nobody has touched yet (one shard-lock acquisition per pair,
-        // like the miss path of `signature_verifies`), then verify it
-        // outside the lock.
-        let mut candidates: Vec<usize> = Vec::new();
-        for (j, subject) in unique.iter().enumerate() {
-            candidates.clear();
-            if let Some(dn_hits) = by_subject_dn.get(subject.issuer()) {
-                candidates.extend_from_slice(dn_hits);
-            }
-            if let Some(kid_hits) = subject.akid_key_id().and_then(|akid| by_skid.get(akid)) {
-                for &i in kid_hits {
-                    if !candidates.contains(&i) {
-                        candidates.push(i);
-                    }
-                }
-            }
-            candidates.sort_unstable();
-            for &i in &candidates {
-                let issuer = &unique[i];
-                if i == j {
-                    continue;
-                }
-                debug_assert!(
-                    Self::identity_match(issuer, subject),
-                    "index candidates must satisfy identity_match"
-                );
-                let key = (issuer.fingerprint(), subject.fingerprint());
-                let shard = self.shard_for(&key);
-                let slot = {
-                    let mut map = shard.map.lock().expect("shard lock poisoned");
-                    if map.contains_key(&key) {
-                        // Completed or in flight: left entirely to its
-                        // owner, no counter movement.
-                        continue;
-                    }
-                    let slot = Arc::new(OnceLock::new());
-                    map.insert(key, Arc::clone(&slot));
-                    slot
-                };
-                // ordering: Relaxed — pure event counter, exactly as in
-                // `signature_verifies` (the slot itself is published by
-                // the shard mutex).
-                self.lookups.fetch_add(1, Ordering::Relaxed);
-                // The standard computed-flag pattern: a racing analysis
-                // thread that adopted our slot may have initialized it
-                // first (it then counted the verification; we count the
-                // coalesced wait).
-                let mut computed = false;
-                slot.get_or_init(|| {
-                    computed = true;
-                    // ordering: Relaxed — counts initializer executions,
-                    // same as the `signature_verifies` miss path.
-                    self.verifications.fetch_add(1, Ordering::Relaxed);
-                    subject.verify_signature_with(issuer.public_key())
-                });
-                if !computed {
-                    // ordering: Relaxed — event counter for losers of the
-                    // init race; carries no synchronization.
-                    self.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
     /// Number of memoized signature checks.
     pub fn cache_size(&self) -> usize {
         self.shards
@@ -390,16 +279,6 @@ impl IssuanceChecker {
     /// been joined; monotone but possibly momentarily inconsistent while
     /// other threads are mid-lookup.
     pub fn snapshot_stats(&self) -> CacheStats {
-        CacheStats {
-            entries: self.cache_size(),
-            ..self.counters()
-        }
-    }
-
-    /// Counter-only snapshot: atomics only, no shard locks (`entries` is
-    /// left 0). Used on the per-build hot path where taking every shard
-    /// lock just to count entries would add contention.
-    pub(crate) fn counters(&self) -> CacheStats {
         // ordering: Relaxed — monotone counters read individually; the
         // snapshot is only promised exact after worker threads are
         // joined (the join edge orders the final values), so there is
@@ -415,6 +294,7 @@ impl IssuanceChecker {
             coalesced_waits: self.coalesced_waits.load(Ordering::Relaxed),
             fixed_base_hits: verify.fixed_base_hits,
             tables_built: verify.tables_built,
+            entries: self.cache_size(),
             ..CacheStats::default()
         }
     }
@@ -823,69 +703,6 @@ mod tests {
         let g = TopologyGraph::build(std::slice::from_ref(&f.root), &checker);
         assert!(g.issuers_of[0].is_empty());
         assert_eq!(g.leaf_paths(16), vec![vec![0]]);
-    }
-
-    #[test]
-    fn prefetch_served_preserves_invariants_and_graph() {
-        let f = fixture();
-        let served = vec![
-            f.leaf.clone(),
-            f.int1.clone(),
-            f.int1.clone(), // duplicate: prefetch must dedupe like the build
-            f.int2.clone(),
-            f.root.clone(),
-            f.unrelated.clone(),
-        ];
-
-        let warm = IssuanceChecker::new();
-        warm.prefetch_served(&served);
-        let after_prefetch = warm.snapshot_stats();
-        // Every claimed pair was looked up, missed, and verified once.
-        assert!(after_prefetch.lookups > 0);
-        assert_eq!(after_prefetch.hits, 0);
-        assert_eq!(after_prefetch.verifications, after_prefetch.misses);
-        assert_eq!(after_prefetch.verifications as usize, after_prefetch.entries);
-
-        // The graph built on the warmed cache is identical to a cold
-        // build, and its lookups are now all hits.
-        let warm_graph = TopologyGraph::build(&served, &warm);
-        let cold = IssuanceChecker::new();
-        let cold_graph = TopologyGraph::build(&served, &cold);
-        assert_eq!(warm_graph.issued_by_me, cold_graph.issued_by_me);
-        assert_eq!(warm_graph.issuers_of, cold_graph.issuers_of);
-        let warm_stats = warm.snapshot_stats();
-        let cold_stats = cold.snapshot_stats();
-        // Prefetch covered exactly the pairs the build queries: no new
-        // verifications, and the counter invariants still hold.
-        assert_eq!(warm_stats.verifications, after_prefetch.verifications);
-        assert_eq!(warm_stats.verifications, cold_stats.verifications);
-        assert_eq!(warm_stats.hits + warm_stats.misses, warm_stats.lookups);
-        assert_eq!(
-            warm_stats.verifications + warm_stats.coalesced_waits,
-            warm_stats.misses
-        );
-        assert_eq!(warm_stats.verifications as usize, warm_stats.entries);
-
-        // Re-prefetching a warmed cache moves nothing (all pairs are
-        // completed entries now). Compare per-checker counters only: the
-        // verify fields are process-wide and other tests run concurrently.
-        warm.prefetch_served(&served);
-        let again = warm.snapshot_stats();
-        assert_eq!(again.lookups, warm_stats.lookups);
-        assert_eq!(again.hits, warm_stats.hits);
-        assert_eq!(again.verifications, warm_stats.verifications);
-        assert_eq!(again.coalesced_waits, warm_stats.coalesced_waits);
-        assert_eq!(again.entries, warm_stats.entries);
-
-        // Every prefetched verdict equals an uncached check of the pair.
-        for issuer in &served {
-            for subject in &served {
-                assert_eq!(
-                    warm.signature_verifies(issuer, subject),
-                    cold.signature_verifies(issuer, subject)
-                );
-            }
-        }
     }
 
     #[test]

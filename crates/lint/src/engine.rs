@@ -160,8 +160,7 @@ pub struct LintSummary {
 impl LintSummary {
     /// Sequential lint over a rank range against a shared checker: the
     /// standalone reference for the pipeline's `LintPass`. It builds each
-    /// chain's topology itself, with no per-observation memo and no
-    /// signature prefetch.
+    /// chain's topology itself, with no per-observation memo.
     pub fn compute_range(
         corpus: &Corpus,
         checker: &IssuanceChecker,
