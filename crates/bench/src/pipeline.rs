@@ -40,16 +40,15 @@ use ccc_core::leaf::cert_covers_domain;
 use ccc_core::report::{count_pct, render_cache_stats, render_phase_split, TextTable};
 use ccc_core::topology::CacheStats;
 use ccc_core::{
-    analyze_compliance_with_graph, BuildContext, BuildOutcome, ChainEngine, Completeness,
-    ComplianceReport, CompletenessAnalyzer, DifferentialHarness, IncompleteReason,
-    IssuanceChecker, NonCompliance, TopologyGraph,
+    analyze_compliance_with_graph, BuildOutcome, ChainEngine, Completeness, CompletenessAnalyzer,
+    ComplianceReport, DifferentialHarness, IncompleteReason, IssuanceChecker, NonCompliance,
+    SharedBuild, TopologyGraph,
 };
 use ccc_lint::{LintEngine, LintSummary};
 use ccc_netsim::{FaultPlan, FaultyTransport};
-use ccc_rootstore::{RootProgram, RootStore};
+use ccc_rootstore::RootProgram;
 use ccc_testgen::corpus::scan_time;
 use ccc_testgen::{Corpus, DomainObservation};
-use ccc_x509::Certificate;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -713,7 +712,7 @@ impl<'c> AnalysisPass<'c> for DifferentialPass<'c> {
     fn visit(&mut self, obs: &DomainObservation, memo: &ObservationMemo) {
         let st = self
             .state
-            .as_ref()
+            .as_mut()
             .expect("visit is only called on forked workers");
         let s = &mut self.summary;
         s.corpus_total += 1;
@@ -990,19 +989,22 @@ impl ChaosSummary {
 }
 
 /// Worker-local state for the fault pass: one [`FaultyTransport`] per
-/// scenario (all wrapping the corpus's AIA repository) plus the eight
-/// client engines.
+/// scenario (all wrapping the corpus's AIA repository), the eight client
+/// engines, and the [`SharedBuild`] every one of their builds starts from.
 #[derive(Debug)]
 struct FaultState<'c> {
-    checker: &'c IssuanceChecker,
-    store: &'c RootStore,
-    cache: Vec<Certificate>,
     transports: Vec<FaultyTransport<'c>>,
     clients: Vec<(ClientKind, ChainEngine)>,
+    shared: SharedBuild<'c>,
 }
 
 /// [`AnalysisPass`] sweeping every observation through every
 /// (fault scenario × client profile) pair.
+///
+/// Each observation is loaded once into the worker's [`SharedBuild`] and
+/// its 24 builds (3 standard scenarios × 8 clients) share the base pool,
+/// the store and issuer lookups and the path validations; only the AIA
+/// transport, and so each build's own AIA memo, differs between them.
 ///
 /// Determinism: each fetch outcome is a pure function of the scenario's
 /// plan seed, the URI, and the attempt number, and retry backoff runs on
@@ -1048,11 +1050,14 @@ impl<'c> AnalysisPass<'c> for FaultPass<'c> {
         FaultPass {
             scenarios: self.scenarios.clone(),
             state: Some(FaultState {
-                checker: ctx.checker,
-                store: ctx.corpus.programs.unified(),
-                cache: ctx.corpus.intermediate_cache(),
                 transports,
                 clients: client_profiles(),
+                shared: SharedBuild::new(
+                    ctx.corpus.programs.unified(),
+                    &ctx.corpus.intermediate_cache(),
+                    scan_time(),
+                    ctx.checker,
+                ),
             }),
             summary: ChaosSummary::empty_for(&self.scenarios),
         }
@@ -1061,7 +1066,7 @@ impl<'c> AnalysisPass<'c> for FaultPass<'c> {
     fn visit(&mut self, obs: &DomainObservation, _memo: &ObservationMemo) {
         let st = self
             .state
-            .as_ref()
+            .as_mut()
             .expect("visit is only called on forked workers");
         self.summary.total += 1;
         let covers = obs
@@ -1069,16 +1074,10 @@ impl<'c> AnalysisPass<'c> for FaultPass<'c> {
             .first()
             .map(|leaf| cert_covers_domain(leaf, &obs.domain))
             .unwrap_or(false);
+        st.shared.load(&obs.served);
         for (scenario, transport) in self.summary.scenarios.iter_mut().zip(&st.transports) {
-            let ctx = BuildContext {
-                store: st.store,
-                aia: Some(transport),
-                cache: &st.cache,
-                now: scan_time(),
-                checker: st.checker,
-            };
             for (kind, engine) in &st.clients {
-                let outcome = engine.process(&obs.served, &ctx);
+                let outcome = st.shared.build(engine, Some(transport));
                 scenario
                     .per_client
                     .get_mut(kind)

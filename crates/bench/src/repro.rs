@@ -22,7 +22,8 @@ use crate::pipeline::{
 use crate::{scan_corpus, CorpusSummary, DefectCounts, DifferentialSummary};
 use ccc_asn1::Time;
 use ccc_core::builder::{
-    BuildContext, BuilderPolicy, ChainEngine, KidPriority, SearchScope, ValidityPriority,
+    BuildContext, BuilderPolicy, ChainEngine, KidPriority, SearchScope, SharedBuild,
+    ValidityPriority,
 };
 use ccc_core::clients::{capability_coverage, client_profiles, ClientKind};
 use ccc_core::report::{check, count_pct, group_thousands, TextTable};
@@ -34,6 +35,7 @@ use ccc_crypto::Drbg;
 use ccc_netsim::admin::{assemble, AdminBehavior};
 use ccc_netsim::ca::{CaProfile, InstallGuide};
 use ccc_netsim::httpserver::{FileLayout, HttpServerKind};
+use ccc_netsim::AiaRepository;
 use ccc_rootstore::{CaUniverse, RootProgram};
 use ccc_testgen::corpus::scan_time;
 use ccc_testgen::scenarios::ScenarioSet;
@@ -1099,12 +1101,15 @@ struct AblationPass<'c> {
     summary: AblationSummary,
 }
 
-/// Worker-local analyzer, build context and one engine per variant.
+/// Worker-local analyzer, AIA repository, one engine per variant, and the
+/// [`SharedBuild`] all ten variants of one chain start from.
 #[derive(Debug)]
 struct AblationState<'c> {
+    checker: &'c IssuanceChecker,
     analyzer: CompletenessAnalyzer<'c>,
-    ctx: BuildContext<'c>,
+    aia: &'c AiaRepository,
     engines: Vec<ChainEngine>,
+    shared: SharedBuild<'c>,
 }
 
 impl<'c> AblationPass<'c> {
@@ -1130,29 +1135,26 @@ impl<'c> AnalysisPass<'c> for AblationPass<'c> {
                 corpus.programs.unified(),
                 Some(&corpus.aia),
             ),
-            ctx: BuildContext {
-                store: corpus.programs.unified(),
-                aia: Some(&corpus.aia),
-                cache: &[],
-                now: scan_time(),
-                checker: ctx.checker,
-            },
+            checker: ctx.checker,
+            aia: &corpus.aia,
             engines: ablation_variants()
                 .into_iter()
                 .map(|(_, policy)| ChainEngine::new(policy))
                 .collect(),
+            shared: SharedBuild::new(corpus.programs.unified(), &[], scan_time(), ctx.checker),
         };
         AblationPass { state: Some(state), ..AblationPass::new() }
     }
 
     fn visit(&mut self, obs: &DomainObservation, memo: &ObservationMemo) {
-        let st = self.state.as_ref().expect("forked worker");
-        if memo.report(obs, st.ctx.checker, &st.analyzer).is_compliant() {
+        let st = self.state.as_mut().expect("forked worker");
+        if memo.report(obs, st.checker, &st.analyzer).is_compliant() {
             return;
         }
         self.summary.chains += 1;
+        st.shared.load(&obs.served);
         for (engine, (_, totals)) in st.engines.iter().zip(&mut self.summary.variants) {
-            let outcome = engine.process(&obs.served, &st.ctx);
+            let outcome = st.shared.build(engine, Some(st.aia));
             totals.accepted += usize::from(outcome.accepted());
             totals.candidates += outcome.stats.candidates_considered;
             totals.fetches += outcome.stats.aia_fetches;

@@ -28,7 +28,6 @@ use ccc_rootstore::RootStore;
 use ccc_x509::{
     Certificate, CertificateFingerprint, FingerprintBuildHasher, FingerprintMap, FingerprintSet,
 };
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -453,76 +452,26 @@ struct Candidate {
     trusted: bool,
 }
 
-/// The policy-independent part of the candidate pool: the deduplicated
-/// served list with trust-store membership resolved.
+/// The policy-independent state of building one served list, shared by
+/// every engine that builds it.
 ///
-/// Every engine sharing a [`BuildContext`] starts from the *same* base
-/// pool (dedup order and trusted flags depend only on the served list and
-/// the store), so a caller fanning one observation out to many engines —
-/// the differential harness runs eight — can build this once and hand each
-/// engine a clone instead of re-hashing and re-probing the store per
-/// engine. Certificates are refcounted, so cloning the seed is cheap.
-#[derive(Clone, Debug)]
-pub(crate) struct PoolSeed {
-    pool: Vec<Candidate>,
-    seen: FingerprintSet,
-}
-
-impl PoolSeed {
-    /// Deduplicate the served list and resolve store membership. This is
-    /// the single source of truth for base-pool construction;
-    /// [`ChainEngine::process`] routes through it too.
-    pub(crate) fn build(served: &[Certificate], ctx: &BuildContext<'_>) -> PoolSeed {
-        let mut pool: Vec<Candidate> = Vec::new();
-        let mut seen = FingerprintSet::default();
-        for (pos, cert) in served.iter().enumerate() {
-            if seen.insert(cert.fingerprint()) {
-                pool.push(Candidate {
-                    trusted: ctx.store.contains(cert),
-                    cert: cert.clone(),
-                    origin: CandidateOrigin::Served { list_pos: pos },
-                });
-            }
-        }
-        PoolSeed { pool, seen }
-    }
-}
-
-/// Pre-resolved intermediate-cache candidates (origin
-/// [`CandidateOrigin::Cache`], trusted flags probed once).
+/// A caller fanning one served list out to many builds — the differential
+/// harness runs eight clients, the fault pass eight clients under three
+/// transports, the ablation ten variants — makes one `SharedBuild` per
+/// worker and [`load`](Self::load)s each served list into it; every
+/// [`build`](Self::build) then starts from the same base pool and memos.
+/// The trust store, the clock, the checker and the intermediate cache are
+/// fixed at [`new`](Self::new), so the state cannot be reused under a
+/// different store or clock. The AIA transport is the only per-build input;
+/// each build keeps its own AIA memo, so one build's fetches never leak
+/// into another's.
 ///
-/// The cache contents and the store don't change between observations, so
-/// a harness can build this once for its lifetime; at use the entries are
-/// still filtered against the per-observation `seen` set, reproducing the
-/// legacy per-engine loop bit for bit.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct CachePool {
-    entries: Vec<Candidate>,
-}
-
-impl CachePool {
-    /// Resolve the cache contents against the store.
-    pub(crate) fn build(cache: &[Certificate], store: &RootStore) -> CachePool {
-        CachePool {
-            entries: cache
-                .iter()
-                .map(|cert| Candidate {
-                    trusted: store.contains(cert),
-                    cert: cert.clone(),
-                    origin: CandidateOrigin::Cache,
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Per-served-list scratch shared across engines processing the same list
-/// under the same [`BuildContext`].
+/// Every memo here caches a value fully determined by certificate
+/// contents plus the fixed store, clock and checker — never by a policy or
+/// a transport — so sharing it cannot change any build's outcome:
 ///
-/// Every memo here caches a value that is fully determined by certificate
-/// contents plus the shared context — never by the engine's policy — so
-/// sharing it across engines cannot change any engine's outcome:
-///
+/// - **base pool**: the served list deduplicated in served order, with
+///   trust-store membership resolved;
 /// - **store candidates**: the roots related to a given certificate
 ///   (subject/SKID lookups filtered by identity match) depend only on
 ///   that certificate and the store;
@@ -532,15 +481,158 @@ impl CachePool {
 ///   a finished path under the same (all-checks-on) options, so the
 ///   verdict is a function of the path, the store, and the clock.
 ///
-/// Keys are certificate fingerprints, so the scratch stays bounded by the
-/// certificates a single served list's searches touch; callers drop it
-/// with the observation.
-#[derive(Debug, Default)]
-pub(crate) struct RunScratch {
-    store_candidates: RefCell<FingerprintMap<Vec<Candidate>>>,
-    base_issuers: RefCell<FingerprintMap<Vec<u32>>>,
+/// Keys are certificate fingerprints; `load` clears every memo, so the
+/// state stays bounded by what one served list's builds touch.
+#[derive(Debug)]
+pub struct SharedBuild<'a> {
+    store: &'a RootStore,
+    now: Time,
+    checker: &'a IssuanceChecker,
+    /// The intermediate cache resolved against `store` once (origin
+    /// [`CandidateOrigin::Cache`]); filtered against the base pool per
+    /// build.
+    cache: Vec<Candidate>,
+    /// Length of the loaded served list, duplicates included (the list
+    /// length limit counts what the server sent).
+    served_len: usize,
+    /// The loaded served list, deduplicated; `pool[0]` is the leaf.
+    pool: Vec<Candidate>,
+    /// Fingerprints of `pool` (for dedup against additions).
+    seen: FingerprintSet,
+    store_candidates: FingerprintMap<Vec<Candidate>>,
+    base_issuers: FingerprintMap<Vec<u32>>,
     validations:
-        RefCell<HashMap<Vec<CertificateFingerprint>, Result<(), ClientError>, FingerprintBuildHasher>>,
+        HashMap<Vec<CertificateFingerprint>, Result<(), ClientError>, FingerprintBuildHasher>,
+}
+
+impl<'a> SharedBuild<'a> {
+    /// Shared state over a store, an intermediate cache, a clock and a
+    /// checker, with the empty served list loaded.
+    pub fn new(
+        store: &'a RootStore,
+        cache: &[Certificate],
+        now: Time,
+        checker: &'a IssuanceChecker,
+    ) -> SharedBuild<'a> {
+        SharedBuild {
+            store,
+            now,
+            checker,
+            cache: cache
+                .iter()
+                .map(|cert| Candidate {
+                    trusted: store.contains(cert),
+                    cert: cert.clone(),
+                    origin: CandidateOrigin::Cache,
+                })
+                .collect(),
+            served_len: 0,
+            pool: Vec::new(),
+            seen: FingerprintSet::default(),
+            store_candidates: FingerprintMap::default(),
+            base_issuers: FingerprintMap::default(),
+            validations: HashMap::default(),
+        }
+    }
+
+    /// Make `served` the list every following build constructs from:
+    /// deduplicate it, resolve store membership and clear the memos.
+    pub fn load(&mut self, served: &[Certificate]) {
+        self.served_len = served.len();
+        self.pool.clear();
+        self.seen.clear();
+        for (pos, cert) in served.iter().enumerate() {
+            if self.seen.insert(cert.fingerprint()) {
+                self.pool.push(Candidate {
+                    trusted: self.store.contains(cert),
+                    cert: cert.clone(),
+                    origin: CandidateOrigin::Served { list_pos: pos },
+                });
+            }
+        }
+        self.store_candidates.clear();
+        self.base_issuers.clear();
+        self.validations.clear();
+    }
+
+    /// Build the loaded list under `engine`'s policy, fetching AIA issuers
+    /// through `aia` (used only when the policy enables AIA), and record
+    /// the build's metrics.
+    pub fn build(&mut self, engine: &ChainEngine, aia: Option<&dyn AiaTransport>) -> BuildOutcome {
+        let mut stats = BuildStats::default();
+        let (path, verdict) = self.construct(engine, aia, &mut stats);
+        record_build_metrics(&stats, verdict.is_ok());
+        BuildOutcome {
+            path,
+            verdict,
+            stats,
+        }
+    }
+
+    /// [`build`](Self::build) body; the caller records the build metrics
+    /// once it returns.
+    fn construct(
+        &mut self,
+        engine: &ChainEngine,
+        aia: Option<&dyn AiaTransport>,
+        stats: &mut BuildStats,
+    ) -> (Vec<Certificate>, Result<(), ClientError>) {
+        let p = &engine.policy;
+
+        let Some(leaf) = self.pool.first().map(|c| c.cert.clone()) else {
+            return (Vec::new(), Err(ClientError::EmptyList));
+        };
+        if let Some(limit) = p.max_list_len {
+            if self.served_len > limit {
+                return (Vec::new(), Err(ClientError::TooManyCertificates));
+            }
+        }
+        if !p.allow_self_signed_leaf
+            && leaf.is_self_issued()
+            && self.checker.signature_verifies(&leaf, &leaf)
+        {
+            return (vec![leaf], Err(ClientError::SelfSignedLeaf));
+        }
+
+        // Candidate pool: the deduplicated served list is the shared
+        // base, cache and AIA-fetched certificates join the per-build
+        // `extra` overflow. The search iterates base-then-extra, which
+        // reproduces the old single-Vec append order exactly.
+        let mut extra: Vec<Candidate> = Vec::new();
+        let mut seen: Option<FingerprintSet> = None;
+        if p.use_intermediate_cache {
+            let mut s = self.seen.clone();
+            for cand in &self.cache {
+                if s.insert(cand.cert.fingerprint()) {
+                    extra.push(cand.clone());
+                }
+            }
+            seen = Some(s);
+        }
+
+        let mut search = Search {
+            engine,
+            shared: self,
+            aia,
+            extra,
+            seen,
+            stats,
+            deepest: vec![leaf.clone()],
+            first_error: None,
+            expansions: 0,
+            aia_memo: HashMap::new(),
+        };
+        let mut on_path = FingerprintSet::default();
+        on_path.insert(leaf.fingerprint());
+        let mut path = vec![leaf];
+        match search.dfs(&mut path, &mut on_path) {
+            Some(success_path) => (success_path, Ok(())),
+            None => (
+                search.deepest,
+                Err(search.first_error.unwrap_or(ClientError::NoIssuerFound)),
+            ),
+        }
+    }
 }
 
 /// The chain construction engine: a policy plus entry points.
@@ -557,112 +649,17 @@ impl ChainEngine {
     }
 
     /// Process a served certificate list: construct a path and validate it.
+    /// One build over a fresh [`SharedBuild`]; callers building the same
+    /// list many times share one instead.
     pub fn process(&self, served: &[Certificate], ctx: &BuildContext<'_>) -> BuildOutcome {
-        let seed = PoolSeed::build(served, ctx);
-        let cache_pool = if self.policy.use_intermediate_cache {
-            CachePool::build(ctx.cache, ctx.store)
+        let cache = if self.policy.use_intermediate_cache {
+            ctx.cache
         } else {
-            CachePool::default()
+            &[]
         };
-        self.process_shared(served, ctx, &seed, &cache_pool, &RunScratch::default())
-    }
-
-    /// [`process`](Self::process) with a base pool, cache pool and scratch
-    /// shared across engines. Bit-identical to `process`: the seed is
-    /// exactly what [`PoolSeed::build`] returns for `(served, ctx)`,
-    /// `cache_pool` resolves `ctx.cache` against `ctx.store`, and the
-    /// scratch only memoizes (certificate, store)-determined lookups; the
-    /// per-engine work that remains is the policy-dependent search itself.
-    pub(crate) fn process_shared(
-        &self,
-        served: &[Certificate],
-        ctx: &BuildContext<'_>,
-        seed: &PoolSeed,
-        cache_pool: &CachePool,
-        scratch: &RunScratch,
-    ) -> BuildOutcome {
-        let mut stats = BuildStats::default();
-        let (path, verdict) =
-            self.process_inner(served, ctx, &mut stats, seed, cache_pool, scratch);
-        record_build_metrics(&stats, verdict.is_ok());
-        BuildOutcome {
-            path,
-            verdict,
-            stats,
-        }
-    }
-
-    /// [`process_shared`](Self::process_shared) body; the caller records
-    /// the build metrics once it returns.
-    fn process_inner(
-        &self,
-        served: &[Certificate],
-        ctx: &BuildContext<'_>,
-        stats: &mut BuildStats,
-        seed: &PoolSeed,
-        cache_pool: &CachePool,
-        scratch: &RunScratch,
-    ) -> (Vec<Certificate>, Result<(), ClientError>) {
-        let p = &self.policy;
-
-        if served.is_empty() {
-            return (Vec::new(), Err(ClientError::EmptyList));
-        }
-        if let Some(limit) = p.max_list_len {
-            if served.len() > limit {
-                return (Vec::new(), Err(ClientError::TooManyCertificates));
-            }
-        }
-        let leaf = served[0].clone();
-        if !p.allow_self_signed_leaf && leaf.is_self_issued() && ctx.checker.signature_verifies(&leaf, &leaf)
-        {
-            return (vec![leaf], Err(ClientError::SelfSignedLeaf));
-        }
-
-        // Candidate pool: the deduplicated served list is the borrowed
-        // `base`, cache and AIA-fetched certificates join the per-engine
-        // `extra` overflow. The search iterates base-then-extra, which
-        // reproduces the old single-Vec append order exactly.
-        let mut extra: Vec<Candidate> = Vec::new();
-        let mut seen: Option<FingerprintSet> = None;
-        if p.use_intermediate_cache {
-            let mut s = seed.seen.clone();
-            for cand in &cache_pool.entries {
-                if s.insert(cand.cert.fingerprint()) {
-                    extra.push(cand.clone());
-                }
-            }
-            seen = Some(s);
-        }
-
-        let mut search = Search {
-            engine: self,
-            ctx,
-            base: &seed.pool,
-            base_seen: &seed.seen,
-            extra,
-            seen,
-            scratch,
-            stats,
-            deepest: vec![leaf.clone()],
-            first_error: None,
-            expansions: 0,
-            aia_memo: HashMap::new(),
-        };
-        let mut on_path = FingerprintSet::default();
-        on_path.insert(leaf.fingerprint());
-        let mut path = vec![leaf];
-        let result = search.dfs(&mut path, &mut on_path, 0);
-        let deepest = std::mem::take(&mut search.deepest);
-        let first_error = search.first_error;
-
-        match result {
-            Some(success_path) => (success_path, Ok(())),
-            None => (
-                deepest,
-                Err(first_error.unwrap_or(ClientError::NoIssuerFound)),
-            ),
-        }
+        let mut shared = SharedBuild::new(ctx.store, cache, ctx.now, ctx.checker);
+        shared.load(served);
+        shared.build(self, ctx.aia)
     }
 
     /// Validation options implied by this policy.
@@ -677,22 +674,19 @@ impl ChainEngine {
     }
 }
 
-/// DFS state for one `process` call.
+/// DFS state for one build.
 struct Search<'e, 'c, 's> {
     engine: &'e ChainEngine,
-    ctx: &'e BuildContext<'c>,
-    /// The shared, immutable base pool (deduplicated served list).
-    base: &'e [Candidate],
-    /// Fingerprints of the base pool (for dedup against additions).
-    base_seen: &'e FingerprintSet,
-    /// Per-engine pool overflow: cache candidates, then AIA fetches.
+    /// The loaded served list and the memos shared across builds.
+    shared: &'e mut SharedBuild<'c>,
+    /// This build's AIA transport.
+    aia: Option<&'e dyn AiaTransport>,
+    /// Per-build pool overflow: cache candidates, then AIA fetches.
     extra: Vec<Candidate>,
-    /// `base_seen` ∪ `extra` fingerprints, materialized lazily — only
-    /// engines that actually add certificates (cache preload, successful
+    /// Base-pool ∪ `extra` fingerprints, materialized lazily — only
+    /// builds that actually add certificates (cache preload, successful
     /// AIA fetch) pay for the set.
     seen: Option<FingerprintSet>,
-    /// Cross-engine memo for (certificate, store)-determined lookups.
-    scratch: &'e RunScratch,
     stats: &'s mut BuildStats,
     deepest: Vec<Certificate>,
     first_error: Option<ClientError>,
@@ -722,7 +716,6 @@ impl Search<'_, '_, '_> {
         &mut self,
         path: &mut Vec<Certificate>,
         on_path: &mut FingerprintSet,
-        depth: usize,
     ) -> Option<Vec<Certificate>> {
         let p = &self.engine.policy;
         self.note_depth(path);
@@ -732,10 +725,10 @@ impl Search<'_, '_, '_> {
         let current = path.last().expect("path non-empty").clone();
 
         // Terminal checks: trusted anchor reached?
-        if self.ctx.store.contains(&current) {
-            return self.finish(path, on_path, depth);
+        if self.shared.store.contains(&current) {
+            return self.finish(path);
         }
-        if current.is_self_issued() && self.ctx.checker.signature_verifies(&current, &current) {
+        if current.is_self_issued() && self.shared.checker.signature_verifies(&current, &current) {
             // Untrusted self-signed terminal: dead end.
             self.note_error(ClientError::UntrustedRoot);
             return None;
@@ -770,7 +763,7 @@ impl Search<'_, '_, '_> {
             }
             path.push(cand.cert.clone());
             on_path.insert(cand.cert.fingerprint());
-            let result = self.dfs(path, on_path, depth + 1);
+            let result = self.dfs(path, on_path);
             on_path.remove(&cand.cert.fingerprint());
             path.pop();
             match result {
@@ -790,51 +783,35 @@ impl Search<'_, '_, '_> {
     ///
     /// [`ChainEngine::validation_options`] is policy-independent (every
     /// profile validates a finished path with all checks on), so the
-    /// verdict for a given certificate sequence is shared through the
-    /// scratch: engines converging on the same path — the common case in
-    /// a differential run — validate it once.
-    fn finish(
-        &mut self,
-        path: &mut [Certificate],
-        _on_path: &mut FingerprintSet,
-        _depth: usize,
-    ) -> Option<Vec<Certificate>> {
-        let p = &self.engine.policy;
+    /// verdict for a given certificate sequence is memoized in the shared
+    /// state: builds converging on the same path — the common case in a
+    /// fan-out — validate it once. A failed verdict is a
+    /// dead end; a backtracking caller continues with siblings.
+    fn finish(&mut self, path: &[Certificate]) -> Option<Vec<Certificate>> {
         let key: Vec<CertificateFingerprint> = path.iter().map(|c| c.fingerprint()).collect();
-        let memo_hit = self.scratch.validations.borrow().get(&key).copied();
-        let verdict = match memo_hit {
-            Some(v) => v,
-            None => {
-                let opts = self.engine.validation_options();
-                let v =
-                    validate_path(path, self.ctx.store, self.ctx.now, self.ctx.checker, &opts);
-                self.scratch.validations.borrow_mut().insert(key, v);
-                v
-            }
-        };
+        let shared = &mut *self.shared;
+        let opts = self.engine.validation_options();
+        let verdict = *shared.validations.entry(key).or_insert_with(|| {
+            validate_path(path, shared.store, shared.now, shared.checker, &opts)
+        });
         match verdict {
             Ok(()) => Some(path.to_vec()),
             Err(e) => {
                 self.note_error(e);
-                if p.backtracking {
-                    // Treat as dead end; caller continues with siblings.
-                    None
-                } else {
-                    None
-                }
+                None
             }
         }
     }
 
-    /// The candidate pool in append order: shared base, then per-engine
+    /// The candidate pool in append order: shared base, then per-build
     /// additions (cache preload, AIA fetches).
     fn pool_iter(&self) -> impl Iterator<Item = &Candidate> {
-        self.base.iter().chain(self.extra.iter())
+        self.shared.pool.iter().chain(self.extra.iter())
     }
 
     /// Enumerate and rank candidate issuers for `current`.
     fn candidates_for(
-        &self,
+        &mut self,
         current: &Certificate,
         path_len: usize,
         on_path: &FingerprintSet,
@@ -844,30 +821,29 @@ impl Search<'_, '_, '_> {
 
         match p.scope {
             SearchScope::FullList => {
-                // Base-pool identity matches come from the cross-engine
-                // memo (index order == pool order); per-engine extras are
+                // Base-pool identity matches come from the shared memo
+                // (index order == pool order); per-build extras are
                 // scanned directly. Together this reproduces the old
                 // base-then-extra filtered scan exactly.
-                let fp = current.fingerprint();
-                if !self.scratch.base_issuers.borrow().contains_key(&fp) {
-                    let idxs: Vec<u32> = self
-                        .base
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| IssuanceChecker::identity_match(&c.cert, current))
-                        .map(|(i, _)| i as u32)
-                        .collect();
-                    self.scratch.base_issuers.borrow_mut().insert(fp, idxs);
-                }
-                let memo = self.scratch.base_issuers.borrow();
-                for &idx in memo.get(&fp).expect("inserted above") {
-                    let cand = &self.base[idx as usize];
+                let shared = &mut *self.shared;
+                let pool = &shared.pool;
+                let idxs = shared
+                    .base_issuers
+                    .entry(current.fingerprint())
+                    .or_insert_with(|| {
+                        pool.iter()
+                            .enumerate()
+                            .filter(|(_, c)| IssuanceChecker::identity_match(&c.cert, current))
+                            .map(|(i, _)| i as u32)
+                            .collect()
+                    });
+                for &idx in idxs.iter() {
+                    let cand = &pool[idx as usize];
                     if on_path.contains(&cand.cert.fingerprint()) {
                         continue;
                     }
                     out.push(cand.clone());
                 }
-                drop(memo);
                 for cand in &self.extra {
                     if on_path.contains(&cand.cert.fingerprint()) {
                         continue;
@@ -892,7 +868,7 @@ impl Search<'_, '_, '_> {
                     {
                         continue;
                     }
-                    if self.ctx.checker.signature_verifies(&cand.cert, current) {
+                    if self.shared.checker.signature_verifies(&cand.cert, current) {
                         out.push(cand.clone());
                     }
                 }
@@ -904,7 +880,7 @@ impl Search<'_, '_, '_> {
         // issuer DN or whose SKID matches the current AKID, filtered down
         // to the ones that actually relate to the current certificate.
         // These depend only on (current, store), so the gathered list is
-        // memoized in the cross-engine scratch; the on-path and
+        // memoized in the shared state; the on-path and
         // already-pooled exclusions below stay per call.
         for sc in self.store_candidates_for(current) {
             if on_path.contains(&sc.cert.fingerprint()) {
@@ -921,7 +897,7 @@ impl Search<'_, '_, '_> {
         }
 
         if p.scope == SearchScope::FullList {
-            let now = self.ctx.now;
+            let now = self.shared.now;
             let mut keyed: Vec<(CandidateKey, Candidate)> = out
                 .into_iter()
                 .map(|cand| (self.rank(&cand, current, path_len, now), cand))
@@ -935,43 +911,35 @@ impl Search<'_, '_, '_> {
     }
 
     /// Trust-store candidates related to `current` (subject/SKID matches
-    /// that pass the identity check), via the cross-engine memo.
-    fn store_candidates_for(&self, current: &Certificate) -> Vec<Candidate> {
-        let fp = current.fingerprint();
-        if let Some(hit) = self.scratch.store_candidates.borrow().get(&fp) {
-            return hit.clone();
-        }
-        let mut gathered: Vec<Candidate> = Vec::new();
-        for root in self.ctx.store.find_by_subject(current.issuer()) {
-            gathered.push(Candidate {
-                cert: root.clone(),
-                origin: CandidateOrigin::Store,
-                trusted: true,
-            });
-        }
-        if let Some(akid) = current.akid_key_id() {
-            for root in self.ctx.store.find_by_skid(akid) {
-                gathered.push(Candidate {
-                    cert: root.clone(),
-                    origin: CandidateOrigin::Store,
-                    trusted: true,
-                });
-            }
-        }
-        gathered.retain(|sc| IssuanceChecker::identity_match(&sc.cert, current));
-        self.scratch
+    /// that pass the identity check), via the shared memo.
+    fn store_candidates_for(&mut self, current: &Certificate) -> Vec<Candidate> {
+        let store = self.shared.store;
+        self.shared
             .store_candidates
-            .borrow_mut()
-            .insert(fp, gathered.clone());
-        gathered
+            .entry(current.fingerprint())
+            .or_insert_with(|| {
+                let by_skid = current.akid_key_id().map(|akid| store.find_by_skid(akid));
+                store
+                    .find_by_subject(current.issuer())
+                    .into_iter()
+                    .chain(by_skid.into_iter().flatten())
+                    .filter(|root| IssuanceChecker::identity_match(root, current))
+                    .map(|root| Candidate {
+                        cert: root.clone(),
+                        origin: CandidateOrigin::Store,
+                        trusted: true,
+                    })
+                    .collect()
+            })
+            .clone()
     }
 
     /// MbedTLS-style in-construction checks.
     fn partial_ok(&self, cand: &Candidate, current: &Certificate, path_len: usize) -> bool {
-        if !self.ctx.checker.signature_verifies(&cand.cert, current) {
+        if !self.shared.checker.signature_verifies(&cand.cert, current) {
             return false;
         }
-        if !cand.cert.validity().contains(self.ctx.now) {
+        if !cand.cert.validity().contains(self.shared.now) {
             return false;
         }
         if let Some(ku) = cand.cert.key_usage() {
@@ -1093,7 +1061,7 @@ impl Search<'_, '_, '_> {
     /// revisits during backtracking never re-fetch a dead or
     /// wrong-certificate URI.
     fn try_aia(&mut self, current: &Certificate) -> Option<Candidate> {
-        let transport = self.ctx.aia?;
+        let transport = self.aia?;
         let uri = current.aia_ca_issuers_uri()?;
         if let Some(memoized) = self.aia_memo.get(uri) {
             return memoized.clone();
@@ -1129,7 +1097,7 @@ impl Search<'_, '_, '_> {
                 FetchOutcome::Success(fetched) => {
                     self.stats.aia_fetches += 1;
                     if !IssuanceChecker::identity_match(&fetched, current)
-                        && !self.ctx.checker.signature_verifies(&fetched, current)
+                        && !self.shared.checker.signature_verifies(&fetched, current)
                     {
                         // Wrong certificate served: useless as an issuer.
                         return None;
@@ -1171,17 +1139,17 @@ impl Search<'_, '_, '_> {
         }
     }
 
-    /// Add a successfully fetched issuer to the per-engine pool
+    /// Add a successfully fetched issuer to the per-build pool
     /// (deduplicated) so later expansions can reuse the fetch.
     fn admit_aia_candidate(&mut self, fetched: Certificate) -> Candidate {
         let candidate = Candidate {
-            trusted: self.ctx.store.contains(&fetched),
+            trusted: self.shared.store.contains(&fetched),
             cert: fetched,
             origin: CandidateOrigin::Aia,
         };
         // The seen set is materialized on first need.
         if self.seen.is_none() {
-            let mut s = self.base_seen.clone();
+            let mut s = self.shared.seen.clone();
             for cand in &self.extra {
                 s.insert(cand.cert.fingerprint());
             }
@@ -1689,6 +1657,69 @@ mod tests {
         assert_eq!(outcome.stats.aia_retries, 69);
         assert_eq!(outcome.stats.sim_latency_ms, 0);
         assert!(!outcome.stats.aia_budget_exhausted);
+    }
+
+    fn assert_same_outcome(shared: &BuildOutcome, alone: &BuildOutcome, what: &str) {
+        assert_eq!(shared.path, alone.path, "{what}: path");
+        assert_eq!(shared.verdict, alone.verdict, "{what}: verdict");
+        assert_eq!(shared.stats, alone.stats, "{what}: stats");
+    }
+
+    /// Builds over one shared state, with different engines and different
+    /// transports in any order, return exactly what separate `process`
+    /// calls return: the shared memos are transport-independent and each
+    /// build's AIA memo stays its own (a failed fetch does not leak into a
+    /// later build over a working transport, nor a success into a later
+    /// failing one).
+    #[test]
+    fn shared_builds_match_separate_process_calls_across_transports() {
+        let p = pki();
+        let uri = "http://aia.sim/shared-int.crt";
+        let served = [aia_leaf("shared.sim", uri)];
+        let failing = FlakyTransport {
+            cert: p.int.clone(),
+            fail_first: u32::MAX,
+            latency_ms: 25,
+        };
+        let mut plain = AiaRepository::empty();
+        plain.publish(uri, p.int.clone());
+        let cache = [p.int.clone()];
+        let retrying = ChainEngine::new(BuilderPolicy::full_capability("retrying"));
+        let mut single_shot = BuilderPolicy::full_capability("single-shot");
+        single_shot.retry = RetryPolicy::none();
+        let single_shot = ChainEngine::new(single_shot);
+        let mut cached = BuilderPolicy::full_capability("cached");
+        cached.aia = false;
+        cached.use_intermediate_cache = true;
+        let cached = ChainEngine::new(cached);
+        let now = Time::from_ymd(2024, 7, 1).unwrap();
+        let transports: [(&str, &dyn AiaTransport); 2] = [("failing", &failing), ("plain", &plain)];
+
+        let checker = IssuanceChecker::new();
+        let mut shared = SharedBuild::new(&p.store, &cache, now, &checker);
+        shared.load(&served);
+        let mut accepted = 0;
+        for order in [[0, 1], [1, 0]] {
+            for engine in [&retrying, &single_shot, &cached] {
+                for (name, transport) in order.map(|i| transports[i]) {
+                    let together = shared.build(engine, Some(transport));
+                    let ctx = BuildContext {
+                        store: &p.store,
+                        aia: Some(transport),
+                        cache: &cache,
+                        now,
+                        checker: &checker,
+                    };
+                    let alone = engine.process(&served, &ctx);
+                    let what = format!("{} over {name}", engine.policy.name);
+                    assert_same_outcome(&together, &alone, &what);
+                    accepted += usize::from(alone.accepted());
+                }
+            }
+        }
+        // Both verdicts occur: AIA engines pass only over the plain
+        // repository, the cache engine passes over either transport.
+        assert_eq!(accepted, 2 * (2 + 2));
     }
 
     #[test]

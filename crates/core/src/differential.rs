@@ -5,9 +5,7 @@
 //! I-1 missing order reorganization, I-2 list-length limits, I-3 missing
 //! backtracking, I-4 missing AIA completion.
 
-use crate::builder::{
-    BuildContext, BuildOutcome, CachePool, ClientError, PoolSeed, RunScratch, SearchScope,
-};
+use crate::builder::{BuildOutcome, ClientError, SearchScope, SharedBuild};
 use crate::clients::{client_profiles, ClientKind};
 use crate::topology::IssuanceChecker;
 use ccc_asn1::Time;
@@ -162,18 +160,13 @@ impl DifferentialReport {
 #[derive(Debug)]
 pub struct DifferentialHarness<'a> {
     clients: Vec<(ClientKind, crate::builder::ChainEngine)>,
-    store: &'a RootStore,
     /// AIA transport: a plain [`ccc_netsim::AiaRepository`] for the
     /// zero-fault path, or a [`ccc_netsim::FaultyTransport`] to inject
     /// latency and failures into every AIA-capable client.
     aia: Option<&'a dyn AiaTransport>,
-    /// Firefox-style intermediate cache contents.
-    cache: Vec<Certificate>,
-    /// `cache` pre-resolved against `store` (built once; the cache and the
-    /// store don't change over the harness lifetime).
-    cache_pool: CachePool,
-    now: Time,
-    checker: &'a IssuanceChecker,
+    /// The store, clock, checker and resolved Firefox-style intermediate
+    /// cache, plus the served list the eight engines are building.
+    shared: SharedBuild<'a>,
 }
 
 impl<'a> DifferentialHarness<'a> {
@@ -185,15 +178,10 @@ impl<'a> DifferentialHarness<'a> {
         now: Time,
         checker: &'a IssuanceChecker,
     ) -> DifferentialHarness<'a> {
-        let cache_pool = CachePool::build(&cache, store);
         DifferentialHarness {
             clients: client_profiles(),
-            store,
             aia,
-            cache,
-            cache_pool,
-            now,
-            checker,
+            shared: SharedBuild::new(store, &cache, now, checker),
         }
     }
 
@@ -202,7 +190,7 @@ impl<'a> DifferentialHarness<'a> {
     /// as a hostname error after the chain itself validated). Hostname
     /// failures affect every client identically, so they add availability
     /// impact without adding discrepancies.
-    pub fn run_for_domain(&self, served: &[Certificate], domain: &str) -> DifferentialResult {
+    pub fn run_for_domain(&mut self, served: &[Certificate], domain: &str) -> DifferentialResult {
         let mut result = self.run(served);
         let covers = served
             .first()
@@ -220,26 +208,16 @@ impl<'a> DifferentialHarness<'a> {
 
     /// Run all clients on one served list.
     ///
-    /// The base candidate pool (served-list dedup + trust-store probes) is
-    /// identical for every engine sharing this harness's context, so it is
-    /// built once per served list and cloned into each of the eight
-    /// engines rather than rebuilt eight times.
-    pub fn run(&self, served: &[Certificate]) -> DifferentialResult {
-        let ctx = BuildContext {
-            store: self.store,
-            aia: self.aia,
-            cache: &self.cache,
-            now: self.now,
-            checker: self.checker,
-        };
-        let seed = PoolSeed::build(served, &ctx);
-        let scratch = RunScratch::default();
+    /// The served list is loaded once into the harness's [`SharedBuild`],
+    /// so the eight engines share its base pool (served-list dedup +
+    /// trust-store probes), its store and issuer lookups and its path
+    /// validations instead of redoing them eight times.
+    pub fn run(&mut self, served: &[Certificate]) -> DifferentialResult {
+        self.shared.load(served);
         let outcomes: Vec<(ClientKind, BuildOutcome)> = self
             .clients
             .iter()
-            .map(|(kind, engine)| {
-                (*kind, engine.process_shared(served, &ctx, &seed, &self.cache_pool, &scratch))
-            })
+            .map(|(kind, engine)| (*kind, self.shared.build(engine, self.aia)))
             .collect();
         let causes = attribute_causes(&outcomes);
         DifferentialResult { outcomes, causes }
@@ -379,7 +357,7 @@ mod tests {
     #[test]
     fn compliant_chain_accepted_by_all() {
         let e = env();
-        let harness = DifferentialHarness::new(
+        let mut harness = DifferentialHarness::new(
             e.programs.unified(),
             Some(&e.aia),
             vec![],
@@ -398,7 +376,7 @@ mod tests {
     #[test]
     fn reversed_chain_fails_only_mbedtls() {
         let e = env();
-        let harness = DifferentialHarness::new(
+        let mut harness = DifferentialHarness::new(
             e.programs.unified(),
             Some(&e.aia),
             vec![],
@@ -468,7 +446,7 @@ mod tests {
     #[test]
     fn missing_intermediate_splits_aia_clients() {
         let e = env();
-        let harness = DifferentialHarness::new(
+        let mut harness = DifferentialHarness::new(
             e.programs.unified(),
             Some(&e.aia),
             vec![],
@@ -492,7 +470,7 @@ mod tests {
 
         // With the intermediate cached, Firefox recovers.
         let int_cert = e.universe.roots[1].intermediates[0].cert.clone();
-        let harness2 = DifferentialHarness::new(
+        let mut harness2 = DifferentialHarness::new(
             e.programs.unified(),
             Some(&e.aia),
             vec![int_cert],
@@ -524,7 +502,7 @@ mod tests {
         );
         let served = vec![leaf(&e, 1, 0, "wrongcert.sim")];
 
-        let harness = DifferentialHarness::new(
+        let mut harness = DifferentialHarness::new(
             e.programs.unified(),
             Some(&e.aia),
             vec![],
@@ -570,7 +548,7 @@ mod tests {
     #[test]
     fn long_list_trips_gnutls_only() {
         let e = env();
-        let harness = DifferentialHarness::new(
+        let mut harness = DifferentialHarness::new(
             e.programs.unified(),
             Some(&e.aia),
             vec![],
@@ -640,7 +618,7 @@ mod tests {
             gov.cert.clone(),
             x_by_trusted,
         ];
-        let harness = DifferentialHarness::new(
+        let mut harness = DifferentialHarness::new(
             e.programs.unified(),
             Some(&e.aia),
             vec![],
@@ -665,7 +643,7 @@ mod tests {
     #[test]
     fn report_aggregation() {
         let e = env();
-        let harness = DifferentialHarness::new(
+        let mut harness = DifferentialHarness::new(
             e.programs.unified(),
             Some(&e.aia),
             vec![],

@@ -32,7 +32,8 @@ pub mod topology;
 pub mod validate;
 
 pub use builder::{BuildContext, BuildOutcome, BuildStats, BuilderPolicy, CandidateOrigin,
-    ChainEngine, ClientError, KidPriority, RetryPolicy, SearchScope, ValidityPriority};
+    ChainEngine, ClientError, KidPriority, RetryPolicy, SearchScope, SharedBuild,
+    ValidityPriority};
 pub use clients::{client_profiles, ClientKind};
 pub use compliance::{
     analyze_compliance, analyze_compliance_with_graph, ComplianceReport, NonCompliance,

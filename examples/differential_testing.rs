@@ -27,7 +27,7 @@ fn main() {
     let analyzer =
         CompletenessAnalyzer::new(&checker, corpus.programs.unified(), Some(&corpus.aia));
     let cache = corpus.intermediate_cache();
-    let harness = DifferentialHarness::new(
+    let mut harness = DifferentialHarness::new(
         corpus.programs.unified(),
         Some(&corpus.aia),
         cache,

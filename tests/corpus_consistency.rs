@@ -20,7 +20,7 @@ fn compliant_observations_accepted_by_every_client() {
     let corpus = corpus(300);
     let checker = IssuanceChecker::new();
     let cache = corpus.intermediate_cache();
-    let harness = DifferentialHarness::new(
+    let mut harness = DifferentialHarness::new(
         corpus.programs.unified(),
         Some(&corpus.aia),
         cache,
@@ -84,7 +84,7 @@ fn akid_absent_chains_need_aia_for_completeness() {
 fn incomplete_chains_fail_non_aia_libraries() {
     let corpus = corpus(2000);
     let checker = IssuanceChecker::new();
-    let harness = DifferentialHarness::new(
+    let mut harness = DifferentialHarness::new(
         corpus.programs.unified(),
         Some(&corpus.aia),
         corpus.intermediate_cache(),
