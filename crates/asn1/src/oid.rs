@@ -24,15 +24,12 @@ impl Oid {
         &self.0
     }
 
-    /// Encode the content octets (without tag/length).
-    pub fn encode_content(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        let first = self.0[0] * 40 + self.0[1];
-        push_base128(&mut out, first);
+    /// Append the content octets (without tag/length) to `out`.
+    pub fn encode_content_into(&self, out: &mut Vec<u8>) {
+        push_base128(out, self.0[0] * 40 + self.0[1]);
         for &arc in &self.0[2..] {
-            push_base128(&mut out, arc);
+            push_base128(out, arc);
         }
-        out
     }
 
     /// Decode from content octets.
@@ -180,7 +177,9 @@ mod tests {
     fn encode_known_oid() {
         // 1.2.840.113549 → 2a 86 48 86 f7 0d
         let oid = Oid::new(&[1, 2, 840, 113549]);
-        assert_eq!(oid.encode_content(), vec![0x2a, 0x86, 0x48, 0x86, 0xf7, 0x0d]);
+        let mut out = vec![0xee];
+        oid.encode_content_into(&mut out);
+        assert_eq!(out, vec![0xee, 0x2a, 0x86, 0x48, 0x86, 0xf7, 0x0d]);
     }
 
     #[test]
@@ -193,7 +192,8 @@ mod tests {
             vec![2, 999, 3], // first arc 2 allows second >= 40
         ] {
             let oid = Oid::new(&arcs);
-            let enc = oid.encode_content();
+            let mut enc = Vec::new();
+            oid.encode_content_into(&mut enc);
             let dec = Oid::decode_content(&enc).unwrap();
             assert_eq!(dec.arcs(), arcs.as_slice());
         }

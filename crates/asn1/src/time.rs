@@ -101,31 +101,6 @@ impl Time {
         self.plus_seconds(days * 86_400)
     }
 
-    /// Encode as DER content octets, choosing UTCTime for 1950..=2049 and
-    /// GeneralizedTime otherwise, per RFC 5280 §4.1.2.5. Returns
-    /// `(is_generalized, bytes)`.
-    pub fn encode_der(self) -> (bool, Vec<u8>) {
-        let dt = self.to_datetime();
-        if (1950..=2049).contains(&dt.year) {
-            let s = format!(
-                "{:02}{:02}{:02}{:02}{:02}{:02}Z",
-                dt.year % 100,
-                dt.month,
-                dt.day,
-                dt.hour,
-                dt.minute,
-                dt.second
-            );
-            (false, s.into_bytes())
-        } else {
-            let s = format!(
-                "{:04}{:02}{:02}{:02}{:02}{:02}Z",
-                dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second
-            );
-            (true, s.into_bytes())
-        }
-    }
-
     /// Decode UTCTime content octets (YYMMDDHHMMSSZ).
     pub fn decode_utc_time(content: &[u8]) -> Result<Time> {
         if content.len() != 13 || content[12] != b'Z' {
@@ -273,16 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn utc_vs_generalized_selection() {
-        let (gen_, bytes) = Time::from_ymd(2024, 3, 15).unwrap().encode_der();
-        assert!(!gen_);
-        assert_eq!(bytes, b"240315000000Z");
-        let (gen_, bytes) = Time::from_ymd(2050, 1, 1).unwrap().encode_der();
-        assert!(gen_);
-        assert_eq!(bytes, b"20500101000000Z");
-    }
-
-    #[test]
     fn decode_utc_time_century_rule() {
         let t = Time::decode_utc_time(b"490101000000Z").unwrap();
         assert_eq!(t.to_datetime().year, 2049);
@@ -298,18 +263,6 @@ mod tests {
         assert!(Time::decode_utc_time(b"241315000000Z").is_err()); // month 13
         assert!(Time::decode_generalized_time(b"20240315000000").is_err());
         assert!(Time::decode_generalized_time(b"20240230000000Z").is_err()); // Feb 30
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let t = Time::from_ymd_hms(2031, 7, 4, 1, 2, 3).unwrap();
-        let (gen_, bytes) = t.encode_der();
-        assert!(!gen_);
-        assert_eq!(Time::decode_utc_time(&bytes).unwrap(), t);
-        let t2 = Time::from_ymd_hms(2055, 7, 4, 1, 2, 3).unwrap();
-        let (gen_, bytes) = t2.encode_der();
-        assert!(gen_);
-        assert_eq!(Time::decode_generalized_time(&bytes).unwrap(), t2);
     }
 
     #[test]

@@ -2,6 +2,11 @@
 //! encode/parse, TLS Certificate-message framing, SHA-256, and Schnorr
 //! sign/verify.
 //!
+//! `der/issue_leaf` issues one corpus-shaped leaf (SAN, basic constraints,
+//! key usage, EKU, SKID, AKID and AIA caIssuers under a universe
+//! intermediate), signing included: the per-domain work of corpus
+//! generation.
+//!
 //! `schnorr/verify_sim256_leaf` verifies a real corpus leaf's TBS under its
 //! issuing intermediate's key, signature parsing included: the same work
 //! the pipeline pays per leaf→issuer pair, so the two numbers compare.
@@ -29,6 +34,21 @@ fn bench_der(c: &mut Criterion) {
     group.bench_function("encode_tbs", |b| {
         b.iter(|| std::hint::black_box(cert.tbs().to_der()))
     });
+
+    let corpus = Corpus::new(CorpusSpec::calibrated(833, 1));
+    let int = &corpus.universe.roots[0].intermediates[0];
+    let leaf_key = KeyPair::from_seed(Group::simulation_256(), b"codec-bench-leaf");
+    let issue = || {
+        CertificateBuilder::leaf_profile("domain0.sim")
+            .aia_ca_issuers(int.aia_uri.clone())
+            .issued_by(&leaf_key.public, int.cert.subject().clone(), &int.keypair)
+    };
+    let leaf = issue();
+    let reparsed = Certificate::from_der(leaf.to_der()).expect("issued leaf parses");
+    assert_eq!(reparsed.fingerprint(), leaf.fingerprint(), "leaf DER round-trips");
+    assert!(leaf.verify_signature_with(int.cert.public_key()), "leaf verifies");
+    group.throughput(Throughput::Bytes(leaf.to_der().len() as u64));
+    group.bench_function("issue_leaf", |b| b.iter(|| std::hint::black_box(issue())));
     group.finish();
 }
 

@@ -14,7 +14,7 @@ pub struct RootStore {
     roots: Vec<Certificate>,
     by_fingerprint: FingerprintSet,
     by_skid: HashMap<Vec<u8>, Vec<usize>>,
-    by_subject: HashMap<Vec<u8>, Vec<usize>>,
+    by_subject: HashMap<DistinguishedName, Vec<usize>>,
 }
 
 impl RootStore {
@@ -40,7 +40,7 @@ impl RootStore {
             self.by_skid.entry(skid.to_vec()).or_default().push(idx);
         }
         self.by_subject
-            .entry(cert.subject().to_der())
+            .entry(cert.subject().clone())
             .or_default()
             .push(idx);
         self.roots.push(cert);
@@ -91,7 +91,7 @@ impl RootStore {
     /// Roots whose subject DN equals `subject`.
     pub fn find_by_subject(&self, subject: &DistinguishedName) -> Vec<&Certificate> {
         self.by_subject
-            .get(&subject.to_der())
+            .get(subject)
             .map(|idxs| idxs.iter().map(|&i| &self.roots[i]).collect())
             .unwrap_or_default()
     }

@@ -10,7 +10,7 @@ use crate::extensions::{
 };
 use crate::name::DistinguishedName;
 use crate::spki::SubjectPublicKeyInfo;
-use ccc_asn1::{oids, Time};
+use ccc_asn1::{oids, Encoder, Time};
 use ccc_crypto::{KeyPair, PrivateKey, PublicKey};
 
 /// How to populate the Subject Key Identifier extension.
@@ -247,8 +247,10 @@ impl CertificateBuilder {
 
         let serial = self.serial.clone().unwrap_or_else(|| {
             // Deterministic serial from the identifying fields.
-            let mut material = self.subject.to_der();
-            material.extend_from_slice(&issuer_dn.to_der());
+            let mut names = Encoder::new();
+            self.subject.encode(&mut names);
+            issuer_dn.encode(&mut names);
+            let mut material = names.finish();
             material.extend_from_slice(subject_key.as_bytes());
             material.extend_from_slice(&self.validity.not_before.unix().to_be_bytes());
             let digest = ccc_crypto::sha256(&material);
@@ -275,12 +277,12 @@ impl CertificateBuilder {
         if self.corrupt_signature {
             signature.e[0] ^= 0x01;
         }
-        Certificate::assemble(tbs, &signature)
+        Certificate::assemble(tbs, tbs_der, &signature)
     }
 }
 
 fn skid_extension(key_id: &[u8]) -> Extension {
-    let mut enc = ccc_asn1::Encoder::new();
+    let mut enc = Encoder::new();
     enc.octet_string(key_id);
     Extension {
         oid: oids::subject_key_identifier().clone(),

@@ -214,11 +214,16 @@ impl std::hash::Hash for Certificate {
 }
 
 impl Certificate {
-    /// Assemble a certificate from a TBS and its signature. Used by the
-    /// builder; `signature` is not checked here (deliberately: corrupt
-    /// signatures are a required test input).
-    pub fn assemble(tbs: TbsCertificate, signature: &Signature) -> Certificate {
-        let tbs_der = tbs.to_der();
+    /// Assemble a certificate from a TBS, its DER (`tbs.to_der()`, the
+    /// exact bytes that were signed) and its signature. Only the builder
+    /// calls this, with the one encoding it signed; `signature` is not
+    /// checked here (deliberately: corrupt signatures are a required test
+    /// input).
+    pub(crate) fn assemble(
+        tbs: TbsCertificate,
+        tbs_der: Vec<u8>,
+        signature: &Signature,
+    ) -> Certificate {
         let sig_bytes = signature.to_bytes();
         let mut enc = Encoder::new();
         enc.sequence(|cert| {
