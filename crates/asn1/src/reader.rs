@@ -16,21 +16,25 @@ pub struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     /// Parse over `data`.
+    #[inline]
     pub fn new(data: &'a [u8]) -> Parser<'a> {
         Parser { data, pos: 0 }
     }
 
     /// True when all input has been consumed.
+    #[inline]
     pub fn is_done(&self) -> bool {
         self.pos >= self.data.len()
     }
 
     /// Bytes remaining.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
     /// Error unless all input was consumed.
+    #[inline]
     pub fn expect_done(&self) -> Result<()> {
         if self.is_done() {
             Ok(())
@@ -40,12 +44,14 @@ impl<'a> Parser<'a> {
     }
 
     /// Peek the next tag without consuming.
+    #[inline]
     pub fn peek_tag(&self) -> Result<Tag> {
         let b = *self.data.get(self.pos).ok_or(Error::Truncated)?;
         Tag::from_byte(b)
     }
 
     /// Read the next TLV, returning its tag and content octets.
+    #[inline]
     pub fn read_any(&mut self) -> Result<(Tag, &'a [u8])> {
         let tag = self.peek_tag()?;
         self.pos += 1;
@@ -58,14 +64,29 @@ impl<'a> Parser<'a> {
         Ok((tag, content))
     }
 
-    /// Read the next TLV including its header, returning the full encoding.
-    pub fn read_any_raw(&mut self) -> Result<(Tag, &'a [u8])> {
+    /// Read the next TLV, returning its tag, its full encoding (header
+    /// included) and its content octets.
+    #[inline]
+    pub fn read_any_raw(&mut self) -> Result<(Tag, &'a [u8], &'a [u8])> {
         let start = self.pos;
-        let (tag, _) = self.read_any()?;
-        Ok((tag, &self.data[start..self.pos]))
+        let (tag, content) = self.read_any()?;
+        Ok((tag, &self.data[start..self.pos], content))
+    }
+
+    /// How many TLVs are left, counted over their headers alone and up to
+    /// the first malformed one: the capacity to reserve before reading
+    /// them.
+    pub fn count_remaining(&self) -> usize {
+        let mut p = self.clone();
+        let mut n = 0;
+        while !p.is_done() && p.read_any().is_ok() {
+            n += 1;
+        }
+        n
     }
 
     /// Read a TLV and check its tag.
+    #[inline]
     pub fn read_expected(&mut self, expected: Tag) -> Result<&'a [u8]> {
         let found = self.peek_tag()?;
         if found != expected {
@@ -114,6 +135,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Read a BOOLEAN.
+    #[inline]
     pub fn boolean(&mut self) -> Result<bool> {
         let content = self.read_expected(Tag::BOOLEAN)?;
         match content {
@@ -125,6 +147,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Read NULL.
+    #[inline]
     pub fn null(&mut self) -> Result<()> {
         let content = self.read_expected(Tag::NULL)?;
         if content.is_empty() {
@@ -136,6 +159,7 @@ impl<'a> Parser<'a> {
 
     /// Read an INTEGER, returning its content octets (two's complement,
     /// canonical).
+    #[inline]
     pub fn integer_bytes(&mut self) -> Result<&'a [u8]> {
         let content = self.read_expected(Tag::INTEGER)?;
         validate_integer(content)?;
@@ -144,6 +168,7 @@ impl<'a> Parser<'a> {
 
     /// Read a non-negative INTEGER as unsigned magnitude bytes (the leading
     /// sign byte, if any, is stripped). Errors on negative values.
+    #[inline]
     pub fn integer_unsigned(&mut self) -> Result<&'a [u8]> {
         let content = self.integer_bytes()?;
         if content[0] & 0x80 != 0 {
@@ -171,6 +196,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Read a BIT STRING, returning `(unused_bits, data)`.
+    #[inline]
     pub fn bit_string(&mut self) -> Result<(u8, &'a [u8])> {
         let content = self.read_expected(Tag::BIT_STRING)?;
         let (&unused, data) = content
@@ -183,17 +209,20 @@ impl<'a> Parser<'a> {
     }
 
     /// Read an OCTET STRING.
+    #[inline]
     pub fn octet_string(&mut self) -> Result<&'a [u8]> {
         self.read_expected(Tag::OCTET_STRING)
     }
 
     /// Read an OBJECT IDENTIFIER.
+    #[inline]
     pub fn oid(&mut self) -> Result<Oid> {
         let content = self.read_expected(Tag::OID)?;
         Oid::decode_content(content)
     }
 
     /// Read any of the supported string types, returning its text.
+    #[inline]
     pub fn any_string(&mut self) -> Result<&'a str> {
         let tag = self.peek_tag()?;
         if tag != Tag::UTF8_STRING && tag != Tag::PRINTABLE_STRING && tag != Tag::IA5_STRING {
@@ -220,6 +249,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
     fn read_length(&mut self) -> Result<usize> {
         let first = *self.data.get(self.pos).ok_or(Error::Truncated)?;
         self.pos += 1;
@@ -403,6 +433,16 @@ mod tests {
     }
 
     #[test]
+    fn count_remaining_stops_at_malformed_tlv() {
+        let der = [0x02, 0x01, 0x01, 0x04, 0x00, 0x02, 0x05, 0x01];
+        let mut p = Parser::new(&der);
+        assert_eq!(p.count_remaining(), 2);
+        p.integer_i64().unwrap();
+        assert_eq!(p.count_remaining(), 1);
+        assert_eq!(Parser::new(&[]).count_remaining(), 0);
+    }
+
+    #[test]
     fn sequence_must_be_fully_consumed() {
         let mut e = Encoder::new();
         e.sequence(|s| {
@@ -421,8 +461,9 @@ mod tests {
         e.integer_i64(7);
         let der = e.finish();
         let mut p = Parser::new(&der);
-        let (tag, raw) = p.read_any_raw().unwrap();
+        let (tag, raw, content) = p.read_any_raw().unwrap();
         assert_eq!(tag, Tag::INTEGER);
         assert_eq!(raw, &der[..]);
+        assert_eq!(content, &[7]);
     }
 }

@@ -104,6 +104,7 @@ impl Tag {
 
     /// Decode from the identifier octet. High-tag-number form (number 31)
     /// is rejected.
+    #[inline]
     pub fn from_byte(b: u8) -> Result<Tag> {
         let number = b & 0x1f;
         if number == 0x1f {

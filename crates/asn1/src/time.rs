@@ -106,7 +106,7 @@ impl Time {
         if content.len() != 13 || content[12] != b'Z' {
             return Err(Error::InvalidValue("UTCTime must be YYMMDDHHMMSSZ"));
         }
-        let d = parse_digits(&content[..12])?;
+        let d = parse_digits::<12>(&content[..12])?;
         let yy = d[0] * 10 + d[1];
         // RFC 5280: 00..=49 → 20xx, 50..=99 → 19xx.
         let year = if yy <= 49 { 2000 + yy } else { 1900 + yy };
@@ -120,23 +120,21 @@ impl Time {
                 "GeneralizedTime must be YYYYMMDDHHMMSSZ",
             ));
         }
-        let d = parse_digits(&content[..14])?;
+        let d = parse_digits::<14>(&content[..14])?;
         let year = d[0] * 1000 + d[1] * 100 + d[2] * 10 + d[3];
         build_time(year as i32, &d[4..])
     }
 }
 
-fn parse_digits(bytes: &[u8]) -> Result<Vec<i64>> {
-    bytes
-        .iter()
-        .map(|&b| {
-            if b.is_ascii_digit() {
-                Ok((b - b'0') as i64)
-            } else {
-                Err(Error::InvalidValue("non-digit in time"))
-            }
-        })
-        .collect()
+fn parse_digits<const N: usize>(bytes: &[u8]) -> Result<[i64; N]> {
+    let mut digits = [0; N];
+    for (d, &b) in digits.iter_mut().zip(bytes) {
+        if !b.is_ascii_digit() {
+            return Err(Error::InvalidValue("non-digit in time"));
+        }
+        *d = (b - b'0') as i64;
+    }
+    Ok(digits)
 }
 
 fn build_time(year: i32, rest: &[i64]) -> Result<Time> {

@@ -7,6 +7,11 @@
 //! intermediate), signing included: the per-domain work of corpus
 //! generation.
 //!
+//! `tls_framing/decode_tls13` decodes a corpus leaf and its issuing
+//! intermediate from one TLS 1.3 Certificate message, after checking that
+//! both fingerprints round-trip: the per-message parse of the ingest
+//! workload.
+//!
 //! `schnorr/verify_sim256_leaf` verifies a real corpus leaf's TBS under its
 //! issuing intermediate's key, signature parsing included: the same work
 //! the pipeline pays per leaf→issuer pair, so the two numbers compare.
@@ -63,6 +68,23 @@ fn bench_tls_framing(c: &mut Criterion) {
     });
     group.bench_function("decode_tls12", |b| {
         b.iter(|| tlsmsg::decode_tls12(std::hint::black_box(&msg)).expect("valid framing"))
+    });
+
+    // The ingest workload's per-message decode: a corpus leaf and its
+    // issuing intermediate in one TLS 1.3 message.
+    let (leaf, issuer) = corpus_leaf_and_issuer();
+    let msg =
+        tlsmsg::encode_tls13(&[leaf.clone(), issuer.clone()]).expect("chain fits TLS framing");
+    let decoded = tlsmsg::decode_tls13(&msg).expect("valid framing");
+    let fingerprints: Vec<_> = decoded.iter().map(Certificate::fingerprint).collect();
+    assert_eq!(
+        fingerprints,
+        [leaf.fingerprint(), issuer.fingerprint()],
+        "message round-trips"
+    );
+    group.throughput(Throughput::Bytes(msg.len() as u64));
+    group.bench_function("decode_tls13", |b| {
+        b.iter(|| tlsmsg::decode_tls13(std::hint::black_box(&msg)).expect("valid framing"))
     });
     group.finish();
 }

@@ -68,6 +68,9 @@ pub struct Group {
     pub element_len: usize,
     /// Serialized length of scalars in bytes.
     pub scalar_len: usize,
+    /// `p` big-endian, padded to `element_len`: the bound public keys are
+    /// checked against without decoding them.
+    p_bytes: Vec<u8>,
     /// Lazily-built Montgomery context + fixed-base generator table
     /// (see [`Group::ops`]).
     ops: OnceLock<GroupOps>,
@@ -107,6 +110,7 @@ impl Group {
             .expect("q is valid hex");
             Group {
                 id: GroupId::Sim256,
+                p_bytes: p.to_bytes_be_padded(32).expect("p fits 32 bytes"),
                 p,
                 q,
                 g: Uint::from_u64(4),
@@ -136,6 +140,7 @@ impl Group {
             let q = p.checked_sub(&Uint::one()).expect("p > 1").shr(1);
             Group {
                 id: GroupId::Rfc3526_1536,
+                p_bytes: p.to_bytes_be_padded(192).expect("p fits 192 bytes"),
                 p,
                 q,
                 g: Uint::from_u64(2),
@@ -380,8 +385,11 @@ impl PublicKey {
         if bytes.len() != group.element_len {
             return None;
         }
-        let y = Uint::from_bytes_be(bytes);
-        if y < Uint::from_u64(2) || y >= group.p {
+        // Big-endian at the padded width of `p`, so byte order is numeric
+        // order; `y < 2` exactly when all bytes but the last are zero and
+        // the last is 0 or 1.
+        let (&last, high) = bytes.split_last()?;
+        if (last < 2 && high.iter().all(|&b| b == 0)) || bytes >= group.p_bytes.as_slice() {
             return None;
         }
         Some(PublicKey {
@@ -505,6 +513,29 @@ mod tests {
         };
         assert!(PublicKey::from_bytes(group, &one).is_none()); // y = 1
         assert!(PublicKey::from_bytes(group, &[0xffu8; 32]).is_none()); // y >= p
+    }
+
+    #[test]
+    fn public_key_range_boundaries_match_uint_comparison() {
+        for group in [Group::simulation_256(), Group::rfc3526_1536()] {
+            let at = |v: &Uint| v.to_bytes_be_padded(group.element_len).unwrap();
+            let one = Uint::one();
+            let two = Uint::from_u64(2);
+            let p_minus_1 = group.p.checked_sub(&one).unwrap();
+            // A value whose high byte is zero but which is still >= 2.
+            let low_high_zero = Uint::from_u64(256);
+            for (v, ok) in [
+                (one.clone(), false),
+                (two.clone(), true),
+                (low_high_zero, true),
+                (p_minus_1.clone(), true),
+                (group.p.clone(), false),
+            ] {
+                assert_eq!(PublicKey::from_bytes(group, &at(&v)).is_some(), ok, "{v:?}");
+            }
+            let p_plus_1 = group.p.add(&one).to_bytes_be_padded(group.element_len).unwrap();
+            assert!(PublicKey::from_bytes(group, &p_plus_1).is_none());
+        }
     }
 
     #[test]

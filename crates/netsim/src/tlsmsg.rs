@@ -177,6 +177,11 @@ pub fn decode_tls13(msg: &[u8]) -> Result<Vec<Certificate>, TlsMsgError> {
     if end > msg.len() {
         return Err(TlsMsgError::Truncated);
     }
+    // The list ends where the body ends: 1 + ctx_len + 3 + list_len ==
+    // body_len, as decode_tls12 requires of its own framing.
+    if end != msg.len() {
+        return Err(TlsMsgError::LengthMismatch);
+    }
     let mut certs = presize_certs(list_len);
     while pos < end {
         let cert_len = read_u24(msg, &mut pos)?;
@@ -272,6 +277,25 @@ mod tests {
         let mut msg = encode_tls12(&certs).unwrap();
         msg[3] = msg[3].wrapping_add(1); // corrupt outer length
         assert!(decode_tls12(&msg).is_err());
+    }
+
+    /// `msg` with four stray bytes after its list and the body length
+    /// raised to cover them.
+    fn with_trailing_bytes(mut msg: Vec<u8>) -> Vec<u8> {
+        msg.extend_from_slice(&[0; 4]);
+        let mut body_len = Vec::new();
+        push_u24(&mut body_len, msg.len() - 4).unwrap();
+        msg[1..4].copy_from_slice(&body_len);
+        msg
+    }
+
+    #[test]
+    fn trailing_bytes_after_list_rejected() {
+        let certs = chain();
+        let msg = with_trailing_bytes(encode_tls12(&certs).unwrap());
+        assert_eq!(decode_tls12(&msg), Err(TlsMsgError::LengthMismatch));
+        let msg = with_trailing_bytes(encode_tls13(&certs).unwrap());
+        assert_eq!(decode_tls13(&msg), Err(TlsMsgError::LengthMismatch));
     }
 
     #[test]

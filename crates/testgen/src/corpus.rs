@@ -996,13 +996,12 @@ mod tests {
         let cache = corpus.intermediate_cache();
         assert!(!cache.is_empty());
         for cert in &cache {
-            let org = cert.subject().attributes().iter().find_map(|(t, v)| {
-                (*t == ccc_x509::AttributeType::Organization).then_some(v.clone())
+            let org = cert.subject().iter().find_map(|(t, v)| {
+                (t == ccc_x509::AttributeType::Organization).then_some(v)
             });
             let org = org.unwrap_or_default();
             assert!(
-                ["Let's Encrypt Sim", "DigiCert Sim", "Sectigo Sim", "ZeroSSL Sim"]
-                    .contains(&org.as_str()),
+                ["Let's Encrypt Sim", "DigiCert Sim", "Sectigo Sim", "ZeroSSL Sim"].contains(&org),
                 "unexpected cached org {org}"
             );
         }

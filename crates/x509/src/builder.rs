@@ -198,28 +198,28 @@ impl CertificateBuilder {
         let mut extensions = Vec::new();
         if let Some(san) = &self.san {
             extensions.push(Extension {
-                oid: oids::subject_alt_name().clone(),
+                oid: oids::SUBJECT_ALT_NAME.clone(),
                 critical: false,
                 value: san.encode_value(),
             });
         }
         if let Some(bc) = &self.basic_constraints {
             extensions.push(Extension {
-                oid: oids::basic_constraints().clone(),
+                oid: oids::BASIC_CONSTRAINTS.clone(),
                 critical: true,
                 value: bc.encode_value(),
             });
         }
         if let Some(ku) = &self.key_usage {
             extensions.push(Extension {
-                oid: oids::key_usage().clone(),
+                oid: oids::KEY_USAGE.clone(),
                 critical: true,
                 value: ku.encode_value(),
             });
         }
         if let Some(eku) = &self.eku {
             extensions.push(Extension {
-                oid: oids::ext_key_usage().clone(),
+                oid: oids::EXT_KEY_USAGE.clone(),
                 critical: false,
                 value: eku.encode_value(),
             });
@@ -238,7 +238,7 @@ impl CertificateBuilder {
         }
         if let Some(aia) = &self.aia {
             extensions.push(Extension {
-                oid: oids::authority_info_access().clone(),
+                oid: oids::AUTHORITY_INFO_ACCESS.clone(),
                 critical: false,
                 value: aia.encode_value(),
             });
@@ -277,7 +277,7 @@ impl CertificateBuilder {
         if self.corrupt_signature {
             signature.e[0] ^= 0x01;
         }
-        Certificate::assemble(tbs, tbs_der, &signature)
+        Certificate::assemble(tbs, &tbs_der, &signature)
     }
 }
 
@@ -285,7 +285,7 @@ fn skid_extension(key_id: &[u8]) -> Extension {
     let mut enc = Encoder::new();
     enc.octet_string(key_id);
     Extension {
-        oid: oids::subject_key_identifier().clone(),
+        oid: oids::SUBJECT_KEY_IDENTIFIER.clone(),
         critical: false,
         value: enc.finish(),
     }
@@ -293,7 +293,7 @@ fn skid_extension(key_id: &[u8]) -> Extension {
 
 fn akid_extension(key_id: &[u8]) -> Extension {
     Extension {
-        oid: oids::authority_key_identifier().clone(),
+        oid: oids::AUTHORITY_KEY_IDENTIFIER.clone(),
         critical: false,
         value: AuthorityKeyIdentifier {
             key_id: Some(key_id.to_vec()),

@@ -7,9 +7,10 @@ use crate::extensions::{
 use crate::name::DistinguishedName;
 use crate::spki::{KeyAlgorithm, SubjectPublicKeyInfo};
 use crate::X509Error;
-use ccc_asn1::{oids, Encoder, Parser, Tag, Time};
+use ccc_asn1::{oids, Encoder, Oid, Parser, Tag, Time};
 use ccc_crypto::{PublicKey, Signature};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Certificate validity window.
@@ -146,47 +147,45 @@ struct ParsedExtensions {
 }
 
 impl ParsedExtensions {
-    fn from_list(extensions: &[Extension]) -> ParsedExtensions {
-        let mut parsed = ParsedExtensions::default();
-        for ext in extensions {
-            // Lenient: unparseable typed values behave as absent, matching
-            // how permissive clients treat junk extensions.
-            if &ext.oid == oids::subject_key_identifier() {
-                let mut p = Parser::new(&ext.value);
-                if let Ok(v) = p.octet_string() {
-                    if p.is_done() {
-                        parsed.skid = Some(v.to_vec());
-                    }
+    /// Decode one extension's typed value into its slot; a later
+    /// occurrence of the same extension replaces an earlier one.
+    fn add(&mut self, oid: &Oid, value: &[u8]) {
+        // Lenient: unparseable typed values behave as absent, matching
+        // how permissive clients treat junk extensions.
+        if *oid == oids::SUBJECT_KEY_IDENTIFIER {
+            let mut p = Parser::new(value);
+            if let Ok(v) = p.octet_string() {
+                if p.is_done() {
+                    self.skid = Some(v.to_vec());
                 }
-            } else if &ext.oid == oids::authority_key_identifier() {
-                parsed.akid = AuthorityKeyIdentifier::decode_value(&ext.value).ok();
-            } else if &ext.oid == oids::basic_constraints() {
-                parsed.basic_constraints = BasicConstraints::decode_value(&ext.value).ok();
-            } else if &ext.oid == oids::key_usage() {
-                parsed.key_usage = KeyUsage::decode_value(&ext.value).ok();
-            } else if &ext.oid == oids::subject_alt_name() {
-                parsed.san = SubjectAltName::decode_value(&ext.value).ok();
-            } else if &ext.oid == oids::authority_info_access() {
-                parsed.aia = AuthorityInfoAccess::decode_value(&ext.value).ok();
-            } else if &ext.oid == oids::ext_key_usage() {
-                parsed.eku = ExtendedKeyUsage::decode_value(&ext.value).ok();
             }
+        } else if *oid == oids::AUTHORITY_KEY_IDENTIFIER {
+            self.akid = AuthorityKeyIdentifier::decode_value(value).ok();
+        } else if *oid == oids::BASIC_CONSTRAINTS {
+            self.basic_constraints = BasicConstraints::decode_value(value).ok();
+        } else if *oid == oids::KEY_USAGE {
+            self.key_usage = KeyUsage::decode_value(value).ok();
+        } else if *oid == oids::SUBJECT_ALT_NAME {
+            self.san = SubjectAltName::decode_value(value).ok();
+        } else if *oid == oids::AUTHORITY_INFO_ACCESS {
+            self.aia = AuthorityInfoAccess::decode_value(value).ok();
+        } else if *oid == oids::EXT_KEY_USAGE {
+            self.eku = ExtendedKeyUsage::decode_value(value).ok();
         }
-        parsed
     }
 }
 
 struct CertificateInner {
-    tbs: TbsCertificate,
-    /// Exact DER of the TBSCertificate — the signed message.
-    tbs_der: Vec<u8>,
+    /// Full certificate DER: the one owned copy of the bytes.
+    der: Vec<u8>,
+    /// The TBSCertificate within `der`: the signed message.
+    tbs_der: Range<usize>,
+    /// The signature (BIT STRING contents) within `der`.
+    signature: Range<usize>,
     /// Outer signature algorithm.
     signature_algorithm: KeyAlgorithm,
-    /// Raw signature bytes (BIT STRING contents).
-    signature: Vec<u8>,
-    /// Full certificate DER.
-    der: Vec<u8>,
     fingerprint: CertificateFingerprint,
+    tbs: TbsCertificate,
     parsed: ParsedExtensions,
 }
 
@@ -221,13 +220,13 @@ impl Certificate {
     /// input).
     pub(crate) fn assemble(
         tbs: TbsCertificate,
-        tbs_der: Vec<u8>,
+        tbs_der: &[u8],
         signature: &Signature,
     ) -> Certificate {
         let sig_bytes = signature.to_bytes();
         let mut enc = Encoder::new();
         enc.sequence(|cert| {
-            cert.write_raw(&tbs_der);
+            cert.write_raw(tbs_der);
             cert.sequence(|alg| {
                 alg.oid(tbs.signature_algorithm.signature_oid());
                 alg.null();
@@ -235,15 +234,22 @@ impl Certificate {
             cert.bit_string(&sig_bytes);
         });
         let der = enc.finish();
+        // The outer header is all that precedes the TBS; the signature
+        // ends the encoding.
+        let (_, outer) = Parser::new(&der).read_any().expect("the encoder wrote one TLV");
+        let tbs_start = der.len() - outer.len();
         let fingerprint = CertificateFingerprint(ccc_crypto::sha256(&der));
-        let parsed = ParsedExtensions::from_list(&tbs.extensions);
+        let mut parsed = ParsedExtensions::default();
+        for ext in &tbs.extensions {
+            parsed.add(&ext.oid, &ext.value);
+        }
         Certificate(Arc::new(CertificateInner {
-            signature_algorithm: tbs.signature_algorithm,
-            tbs,
-            tbs_der,
-            signature: sig_bytes,
+            tbs_der: tbs_start..tbs_start + tbs_der.len(),
+            signature: der.len() - sig_bytes.len()..der.len(),
             der,
+            signature_algorithm: tbs.signature_algorithm,
             fingerprint,
+            tbs,
             parsed,
         }))
     }
@@ -258,107 +264,102 @@ impl Certificate {
 
     /// Parse one certificate from a parser (allows concatenated streams).
     pub fn decode_one(parser: &mut Parser<'_>) -> Result<Certificate, X509Error> {
-        let start_remaining = parser.remaining();
-        let (outer_tag, outer_raw) = parser.read_any_raw()?;
+        let (outer_tag, raw, content) = parser.read_any_raw()?;
         if outer_tag != Tag::SEQUENCE {
             return Err(X509Error::Der(ccc_asn1::Error::UnexpectedTag {
                 expected: Tag::SEQUENCE,
                 found: outer_tag,
             }));
         }
-        let _ = start_remaining;
-        // Re-walk the outer sequence content.
-        let mut outer = Parser::new(outer_raw);
-        let (_, content) = outer.read_any()?;
         let mut body = Parser::new(content);
-        let (tbs_tag, tbs_der) = body.read_any_raw()?;
+        let (tbs_tag, tbs_der, tbs_content) = body.read_any_raw()?;
         if tbs_tag != Tag::SEQUENCE {
             return Err(X509Error::Profile("TBSCertificate must be a SEQUENCE"));
         }
-        let tbs = Self::decode_tbs(tbs_der)?;
-        let outer_sig_oid = body
-            .sequence(|alg| {
-                let oid = alg.oid()?;
-                if !alg.is_done() {
-                    alg.null()?;
-                }
-                Ok(oid)
-            })
-            .map_err(X509Error::from)?;
+        let (tbs, parsed) = Self::decode_tbs(tbs_content)?;
+        let outer_sig_oid = body.sequence(|alg| {
+            let oid = alg.oid()?;
+            if !alg.is_done() {
+                alg.null()?;
+            }
+            Ok(oid)
+        })?;
         let outer_alg = KeyAlgorithm::from_signature_oid(&outer_sig_oid)
             .ok_or_else(|| X509Error::UnsupportedAlgorithm(outer_sig_oid.to_string()))?;
-        let (unused, sig_bytes) = body.bit_string().map_err(X509Error::from)?;
+        let (unused, sig_bytes) = body.bit_string()?;
         if unused != 0 {
             return Err(X509Error::Profile("signature BIT STRING with unused bits"));
         }
-        body.expect_done().map_err(X509Error::from)?;
+        body.expect_done()?;
 
-        let fingerprint = CertificateFingerprint(ccc_crypto::sha256(outer_raw));
-        let parsed = ParsedExtensions::from_list(&tbs.extensions);
+        // The TBS opens the outer content and the signature closes it.
+        let tbs_start = raw.len() - content.len();
         Ok(Certificate(Arc::new(CertificateInner {
+            der: raw.to_vec(),
+            tbs_der: tbs_start..tbs_start + tbs_der.len(),
+            signature: raw.len() - sig_bytes.len()..raw.len(),
             signature_algorithm: outer_alg,
-            tbs_der: tbs_der.to_vec(),
-            signature: sig_bytes.to_vec(),
-            der: outer_raw.to_vec(),
-            fingerprint,
-            parsed,
+            fingerprint: CertificateFingerprint(ccc_crypto::sha256(raw)),
             tbs,
+            parsed,
         })))
     }
 
-    fn decode_tbs(tbs_der: &[u8]) -> Result<TbsCertificate, X509Error> {
-        let mut p = Parser::new(tbs_der);
-        let tbs = p.sequence(|tbs| {
-            let version = tbs
-                .optional_constructed(Tag::context_constructed(0), |v| v.integer_i64())?
-                .unwrap_or(0);
-            if version != 2 {
-                return Err(ccc_asn1::Error::InvalidValue("only v3 certificates supported"));
+    /// Decode the TBSCertificate content octets, typing each extension as
+    /// the list is read.
+    fn decode_tbs(content: &[u8]) -> Result<(TbsCertificate, ParsedExtensions), X509Error> {
+        let mut tbs = Parser::new(content);
+        let version = tbs
+            .optional_constructed(Tag::context_constructed(0), |v| v.integer_i64())?
+            .unwrap_or(0);
+        if version != 2 {
+            return Err(ccc_asn1::Error::InvalidValue("only v3 certificates supported").into());
+        }
+        let serial = tbs.integer_unsigned()?.to_vec();
+        let sig_oid = tbs.sequence(|alg| {
+            let oid = alg.oid()?;
+            if !alg.is_done() {
+                alg.null()?;
             }
-            let serial = tbs.integer_unsigned()?.to_vec();
-            let sig_oid = tbs.sequence(|alg| {
-                let oid = alg.oid()?;
-                if !alg.is_done() {
-                    alg.null()?;
-                }
-                Ok(oid)
-            })?;
-            let issuer = DistinguishedName::decode(tbs)?;
-            let validity = tbs.sequence(|val| {
-                Ok(Validity {
-                    not_before: val.time()?,
-                    not_after: val.time()?,
-                })
-            })?;
-            let subject = DistinguishedName::decode(tbs)?;
-            // SPKI errors need the richer X509Error; stash the raw bytes.
-            let (spki_tag, spki_raw) = tbs.read_any_raw()?;
-            if spki_tag != Tag::SEQUENCE {
-                return Err(ccc_asn1::Error::UnexpectedTag {
-                    expected: Tag::SEQUENCE,
-                    found: spki_tag,
-                });
-            }
-            let extensions = tbs
-                .optional_constructed(Tag::context_constructed(3), |wrapper| {
-                    wrapper.sequence(|exts| {
-                        let mut v = Vec::new();
-                        while !exts.is_done() {
-                            v.push(Extension::decode(exts)?);
-                        }
-                        Ok(v)
-                    })
-                })?
-                .unwrap_or_default();
-            Ok((serial, sig_oid, issuer, validity, subject, spki_raw, extensions))
+            Ok(oid)
         })?;
-        p.expect_done()?;
-        let (serial, sig_oid, issuer, validity, subject, spki_raw, extensions) = tbs;
+        let issuer = DistinguishedName::decode(&mut tbs)?;
+        let validity = tbs.sequence(|val| {
+            Ok(Validity {
+                not_before: val.time()?,
+                not_after: val.time()?,
+            })
+        })?;
+        let subject = DistinguishedName::decode(&mut tbs)?;
+        // SPKI errors rank below DER errors anywhere in the TBS: take the
+        // raw bytes now and decode them once the walk has finished.
+        let (spki_tag, spki_raw, _) = tbs.read_any_raw()?;
+        if spki_tag != Tag::SEQUENCE {
+            return Err(ccc_asn1::Error::UnexpectedTag {
+                expected: Tag::SEQUENCE,
+                found: spki_tag,
+            }
+            .into());
+        }
+        let mut parsed = ParsedExtensions::default();
+        let extensions = tbs
+            .optional_constructed(Tag::context_constructed(3), |wrapper| {
+                wrapper.sequence(|exts| {
+                    let mut v = Vec::with_capacity(exts.count_remaining());
+                    while !exts.is_done() {
+                        let ext = Extension::decode(exts)?;
+                        parsed.add(&ext.oid, &ext.value);
+                        v.push(ext);
+                    }
+                    Ok(v)
+                })
+            })?
+            .unwrap_or_default();
+        tbs.expect_done()?;
         let signature_algorithm = KeyAlgorithm::from_signature_oid(&sig_oid)
             .ok_or_else(|| X509Error::UnsupportedAlgorithm(sig_oid.to_string()))?;
-        let mut spki_parser = Parser::new(spki_raw);
-        let spki = SubjectPublicKeyInfo::decode(&mut spki_parser)?;
-        Ok(TbsCertificate {
+        let spki = SubjectPublicKeyInfo::decode(&mut Parser::new(spki_raw))?;
+        let tbs = TbsCertificate {
             serial,
             signature_algorithm,
             issuer,
@@ -366,7 +367,8 @@ impl Certificate {
             subject,
             spki,
             extensions,
-        })
+        };
+        Ok((tbs, parsed))
     }
 
     /// Full certificate DER.
@@ -376,7 +378,7 @@ impl Certificate {
 
     /// Exact TBS bytes (the signed message).
     pub fn tbs_der(&self) -> &[u8] {
-        &self.0.tbs_der
+        &self.0.der[self.0.tbs_der.clone()]
     }
 
     /// The TBS fields.
@@ -386,7 +388,7 @@ impl Certificate {
 
     /// Raw signature bytes.
     pub fn signature_bytes(&self) -> &[u8] {
-        &self.0.signature
+        &self.0.der[self.0.signature.clone()]
     }
 
     /// Outer signature algorithm.
@@ -500,8 +502,8 @@ impl Certificate {
     /// Verify this certificate's signature with a candidate issuer key.
     pub fn verify_signature_with(&self, issuer_key: &PublicKey) -> bool {
         let scalar_len = issuer_key.group().scalar_len;
-        match Signature::from_bytes(&self.0.signature, scalar_len) {
-            Some(sig) => issuer_key.verify(&self.0.tbs_der, &sig),
+        match Signature::from_bytes(self.signature_bytes(), scalar_len) {
+            Some(sig) => issuer_key.verify(self.tbs_der(), &sig),
             None => false,
         }
     }

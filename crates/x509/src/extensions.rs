@@ -203,12 +203,12 @@ pub struct ExtendedKeyUsage {
 impl ExtendedKeyUsage {
     /// serverAuth only (typical TLS leaf).
     pub fn server_auth() -> ExtendedKeyUsage {
-        ExtendedKeyUsage { purposes: vec![oids::kp_server_auth().clone()] }
+        ExtendedKeyUsage { purposes: vec![oids::KP_SERVER_AUTH.clone()] }
     }
 
     /// Whether serverAuth is present.
     pub fn allows_server_auth(&self) -> bool {
-        self.purposes.iter().any(|p| p == oids::kp_server_auth())
+        self.purposes.contains(&oids::KP_SERVER_AUTH)
     }
 
     /// Encode inner DER value.
@@ -226,7 +226,7 @@ impl ExtendedKeyUsage {
     pub fn decode_value(value: &[u8]) -> DerResult<ExtendedKeyUsage> {
         let mut p = Parser::new(value);
         let purposes = p.sequence(|s| {
-            let mut v = Vec::new();
+            let mut v = Vec::with_capacity(s.count_remaining());
             while !s.is_done() {
                 v.push(s.oid()?);
             }
@@ -342,7 +342,7 @@ impl SubjectAltName {
     pub fn decode_value(value: &[u8]) -> DerResult<SubjectAltName> {
         let mut p = Parser::new(value);
         let names = p.sequence(|s| {
-            let mut v = Vec::new();
+            let mut v = Vec::with_capacity(s.count_remaining());
             while !s.is_done() {
                 v.push(GeneralName::decode(s)?);
             }
@@ -404,8 +404,8 @@ pub enum AccessMethod {
 impl AccessMethod {
     fn oid(self) -> &'static Oid {
         match self {
-            AccessMethod::CaIssuers => oids::ad_ca_issuers(),
-            AccessMethod::Ocsp => oids::ad_ocsp(),
+            AccessMethod::CaIssuers => &oids::AD_CA_ISSUERS,
+            AccessMethod::Ocsp => &oids::AD_OCSP,
         }
     }
 }
@@ -463,7 +463,7 @@ impl AuthorityInfoAccess {
     pub fn decode_value(value: &[u8]) -> DerResult<AuthorityInfoAccess> {
         let mut p = Parser::new(value);
         let descriptions = p.sequence(|s| {
-            let mut v = Vec::new();
+            let mut v = Vec::with_capacity(s.count_remaining());
             while !s.is_done() {
                 s.sequence(|ad| {
                     let oid = ad.oid()?;
@@ -475,9 +475,9 @@ impl AuthorityInfoAccess {
                     let location = std::str::from_utf8(content)
                         .map_err(|_| Error::InvalidValue("non-UTF8 AIA URI"))?
                         .to_string();
-                    let method = if &oid == oids::ad_ca_issuers() {
+                    let method = if oid == oids::AD_CA_ISSUERS {
                         AccessMethod::CaIssuers
-                    } else if &oid == oids::ad_ocsp() {
+                    } else if oid == oids::AD_OCSP {
                         AccessMethod::Ocsp
                     } else {
                         return Ok(());
@@ -602,7 +602,7 @@ mod tests {
     #[test]
     fn extension_wrapper_roundtrip() {
         let ext = Extension {
-            oid: oids::basic_constraints().clone(),
+            oid: oids::BASIC_CONSTRAINTS.clone(),
             critical: true,
             value: BasicConstraints::ca().encode_value(),
         };
@@ -617,7 +617,7 @@ mod tests {
     #[test]
     fn extension_default_criticality_not_encoded() {
         let ext = Extension {
-            oid: oids::subject_key_identifier().clone(),
+            oid: oids::SUBJECT_KEY_IDENTIFIER.clone(),
             critical: false,
             value: vec![0x04, 0x00],
         };

@@ -34,24 +34,24 @@ impl KeyAlgorithm {
     /// Public key algorithm OID.
     pub fn key_oid(self) -> &'static Oid {
         match self {
-            KeyAlgorithm::SchnorrSim256 => oids::schnorr_sim256_key(),
-            KeyAlgorithm::SchnorrRfc3526 => oids::schnorr_rfc3526_key(),
+            KeyAlgorithm::SchnorrSim256 => &oids::SCHNORR_SIM256_KEY,
+            KeyAlgorithm::SchnorrRfc3526 => &oids::SCHNORR_RFC3526_KEY,
         }
     }
 
     /// Signature algorithm OID (SHA-256 + Schnorr over the same group).
     pub fn signature_oid(self) -> &'static Oid {
         match self {
-            KeyAlgorithm::SchnorrSim256 => oids::schnorr_sim256_sig(),
-            KeyAlgorithm::SchnorrRfc3526 => oids::schnorr_rfc3526_sig(),
+            KeyAlgorithm::SchnorrSim256 => &oids::SCHNORR_SIM256_SIG,
+            KeyAlgorithm::SchnorrRfc3526 => &oids::SCHNORR_RFC3526_SIG,
         }
     }
 
     /// Resolve a key algorithm from its OID.
     pub fn from_key_oid(oid: &Oid) -> Option<KeyAlgorithm> {
-        if oid == oids::schnorr_sim256_key() {
+        if *oid == oids::SCHNORR_SIM256_KEY {
             Some(KeyAlgorithm::SchnorrSim256)
-        } else if oid == oids::schnorr_rfc3526_key() {
+        } else if *oid == oids::SCHNORR_RFC3526_KEY {
             Some(KeyAlgorithm::SchnorrRfc3526)
         } else {
             None
@@ -60,9 +60,9 @@ impl KeyAlgorithm {
 
     /// Resolve a key algorithm from its signature OID.
     pub fn from_signature_oid(oid: &Oid) -> Option<KeyAlgorithm> {
-        if oid == oids::schnorr_sim256_sig() {
+        if *oid == oids::SCHNORR_SIM256_SIG {
             Some(KeyAlgorithm::SchnorrSim256)
-        } else if oid == oids::schnorr_rfc3526_sig() {
+        } else if *oid == oids::SCHNORR_RFC3526_SIG {
             Some(KeyAlgorithm::SchnorrRfc3526)
         } else {
             None
@@ -108,7 +108,7 @@ impl SubjectPublicKeyInfo {
 
     /// Decode from a parser positioned at the SPKI SEQUENCE.
     pub fn decode(parser: &mut Parser<'_>) -> Result<SubjectPublicKeyInfo, X509Error> {
-        parser.sequence(|spki| {
+        let (oid, key_bytes) = parser.sequence(|spki| {
             let algorithm = spki.sequence(|alg| {
                 let oid = alg.oid()?;
                 if !alg.is_done() {
@@ -120,16 +120,13 @@ impl SubjectPublicKeyInfo {
             if unused != 0 {
                 return Err(ccc_asn1::Error::InvalidValue("SPKI key with unused bits"));
             }
-            Ok((algorithm, key_bytes.to_vec()))
-        })
-        .map_err(X509Error::from)
-        .and_then(|(oid, key_bytes)| {
-            let algorithm = KeyAlgorithm::from_key_oid(&oid)
-                .ok_or_else(|| X509Error::UnsupportedAlgorithm(oid.to_string()))?;
-            let key = PublicKey::from_bytes(algorithm.group(), &key_bytes)
-                .ok_or(X509Error::InvalidKey)?;
-            Ok(SubjectPublicKeyInfo { algorithm, key })
-        })
+            Ok((algorithm, key_bytes))
+        })?;
+        let algorithm = KeyAlgorithm::from_key_oid(&oid)
+            .ok_or_else(|| X509Error::UnsupportedAlgorithm(oid.to_string()))?;
+        let key =
+            PublicKey::from_bytes(algorithm.group(), key_bytes).ok_or(X509Error::InvalidKey)?;
+        Ok(SubjectPublicKeyInfo { algorithm, key })
     }
 }
 
@@ -186,7 +183,7 @@ mod tests {
         let mut enc = Encoder::new();
         enc.sequence(|spki| {
             spki.sequence(|alg| {
-                alg.oid(oids::schnorr_sim256_key());
+                alg.oid(&oids::SCHNORR_SIM256_KEY);
                 alg.null();
             });
             spki.bit_string(&[0u8; 32]); // y = 0: invalid
@@ -202,11 +199,11 @@ mod tests {
     #[test]
     fn signature_oid_mapping() {
         assert_eq!(
-            KeyAlgorithm::from_signature_oid(oids::schnorr_sim256_sig()),
+            KeyAlgorithm::from_signature_oid(&oids::SCHNORR_SIM256_SIG),
             Some(KeyAlgorithm::SchnorrSim256)
         );
         assert_eq!(
-            KeyAlgorithm::from_signature_oid(oids::schnorr_sim256_key()),
+            KeyAlgorithm::from_signature_oid(&oids::SCHNORR_SIM256_KEY),
             None
         );
     }
